@@ -1,17 +1,19 @@
 """Post-selected single-qubit trajectories on the Bloch sphere.
 
-The state is evolved with the closed-form segment maps and renormalized
-after every substep, which is how post-selection acts in experiments: the
-qubit never leaves the sphere surface.  Unitary substeps precess the state
-about the x-axis; thermal substeps pull it along meridians toward the north
-pole (the amplified level).
-"""
+The state is evolved with the closed-form partial segment maps, one batched
+product per period, and renormalized at every sample, which is how
+post-selection acts in experiments: the qubit never leaves the sphere
+surface.  Renormalizing is projective, so this equals renormalizing after
+every substep to rounding.  Unitary substeps precess the state about the
+x-axis; thermal substeps pull it along meridians toward the north pole (the
+amplified level)."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -34,6 +36,22 @@ class SegmentKind(Enum):
     THERMAL = "thermal"
 
 
+def _angles(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Polar angle in [0, pi] and azimuth in [-pi, pi) of nonzero
+    statevectors ``psi[..., :2]``; 2 atan2(|b|, |a|) keeps theta accurate
+    at the poles, where acos(|a|^2 - |b|^2) loses it below ~1e-8."""
+    a, b = psi[..., 0], psi[..., 1]
+    theta = 2 * np.arctan2(np.abs(b), np.abs(a))
+    cross = np.conj(a) * b
+    phi = np.arctan2(cross.imag, cross.real)
+    return theta, np.where(phi >= math.pi, phi - 2 * math.pi, phi)
+
+
+def _cartesian(theta, phi) -> np.ndarray:
+    st = np.sin(theta)
+    return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
+
+
 @dataclass(frozen=True)
 class BlochState:
     """Point on the Bloch sphere: polar angle theta in [0, pi], azimuth phi
@@ -44,10 +62,7 @@ class BlochState:
 
     @property
     def cartesian(self) -> np.ndarray:
-        st = math.sin(self.theta)
-        return np.array(
-            [st * math.cos(self.phi), st * math.sin(self.phi), math.cos(self.theta)]
-        )
+        return _cartesian(self.theta, self.phi)
 
     @classmethod
     def from_statevector(cls, psi) -> "BlochState":
@@ -57,12 +72,8 @@ class BlochState:
         n = np.linalg.norm(v)
         if n == 0:
             raise ValueError("zero statevector has no Bloch representation")
-        v = v / n
-        cross = np.conj(v[0]) * v[1]
-        x = 2 * cross.real
-        y = 2 * cross.imag
-        z = abs(v[0]) ** 2 - abs(v[1]) ** 2
-        return cls.from_cartesian((x, y, z))
+        theta, phi = _angles(v / n)
+        return cls(theta=float(theta), phi=float(phi))
 
     @classmethod
     def from_cartesian(cls, vec) -> "BlochState":
@@ -76,14 +87,24 @@ class BlochState:
 
 @dataclass
 class Trajectory:
-    """Sampled trajectory: times in units of the drive period, one Bloch
-    state and segment tag per sample, strictly increasing times."""
+    """Sampled trajectory: times in units of the drive period, the Bloch
+    angles and a segment tag per sample, strictly increasing times."""
 
     times: np.ndarray
-    states: list[BlochState]
+    theta: np.ndarray
+    phi: np.ndarray
     segment_tags: list[SegmentKind]
     samples_per_period: int
     n_periods: int
+
+    @cached_property
+    def states(self) -> list[BlochState]:
+        return [BlochState(t, p) for t, p in zip(self.theta.tolist(), self.phi.tolist())]
+
+    @property
+    def cartesian(self) -> np.ndarray:
+        """Bloch vectors of all samples, shape (n, 3)."""
+        return _cartesian(self.theta, self.phi)
 
 
 def equal_superposition_xyz() -> np.ndarray:
@@ -100,16 +121,32 @@ def equal_superposition_xyz() -> np.ndarray:
     return psi / np.linalg.norm(psi)
 
 
-def _unitary_step(params: FloquetParams, dt: float) -> np.ndarray:
-    a = params.j_av * dt
-    return np.array(
-        [[math.cos(a), -1j * math.sin(a)], [-1j * math.sin(a), math.cos(a)]], dtype=complex
-    )
+def _period_samples(params: FloquetParams, sub: int):
+    """The samples of one period: closed-form maps from the period start to
+    each sample, shape (samples_per_period, 2, 2), their segment tags and
+    their times within the period, in units of the period.
 
-
-def _thermal_step(params: FloquetParams, dt: float) -> np.ndarray:
-    g = params.gamma_av * dt
-    return np.array([[math.exp(g), 0.0], [0.0, math.exp(-g)]], dtype=complex)
+    The thermal maps are divided by e^{|g|} at gain area g so far: that
+    overall scale drops out on renormalization, and without it the maps
+    overflow at strong gain.
+    """
+    k = np.arange(1, sub + 1)
+    maps, tags, offsets = [], [], []
+    u_full = np.eye(2)
+    if params.tau > 0:
+        a = params.drive_area * k / sub
+        c, s = np.cos(a), -1j * np.sin(a)
+        maps.append(np.stack([c, s, s, c], axis=-1).reshape(sub, 2, 2))
+        u_full = maps[0][-1]
+        tags += [SegmentKind.UNITARY] * sub
+        offsets.append(params.p * k / sub)
+    if params.beta > 0:
+        g = params.gain_area * k / sub
+        scale = np.stack([np.exp(g - np.abs(g)), np.exp(-g - np.abs(g))], axis=-1)
+        maps.append(scale[:, :, None] * u_full)
+        tags += [SegmentKind.THERMAL] * sub
+        offsets.append(params.p + (1 - params.p) * k / sub)
+    return np.concatenate(maps), tags, np.concatenate(offsets)
 
 
 def evolve_state(
@@ -120,11 +157,11 @@ def evolve_state(
 ) -> Trajectory:
     """Evolve a pure state through ``n_periods`` drive periods.
 
-    Within each segment the closed-form partial map for the substep interval
-    is applied and the state renormalized after every substep
-    (post-selection).  Substeps only refine the sampling: the segment maps
-    are exact, so doubling ``substeps_per_segment`` leaves the sampled
-    states unchanged to rounding.
+    Each sample is the period's start state, mapped by the closed-form
+    partial map up to that sample and renormalized (post-selection).
+    Substeps only refine the sampling: the segment maps are exact, so
+    doubling ``substeps_per_segment`` leaves the sampled states unchanged
+    to rounding.
 
     Raises ValueError for a non-normalized initial state.
     """
@@ -138,38 +175,27 @@ def evolve_state(
     if substeps_per_segment < 1:
         raise ValueError("substeps_per_segment must be >= 1")
 
-    sub = substeps_per_segment
-    u_step = _unitary_step(params, params.tau / sub)
-    t_step = _thermal_step(params, params.beta / sub)
+    maps, tags, offsets = _period_samples(params, substeps_per_segment)
+    spp = len(maps)
+    psis = np.empty((1 + n_periods * spp, 2), dtype=complex)
+    psis[0] = psi
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for n in range(n_periods):
+            batch = maps @ psi
+            batch /= np.linalg.norm(batch, axis=1, keepdims=True)
+            psis[1 + n * spp : 1 + (n + 1) * spp] = batch
+            psi = batch[-1]
+    if not np.all(np.isfinite(psis)):
+        raise ValueError("zero statevector has no Bloch representation")
+    theta, phi = _angles(psis)
 
-    times = [0.0]
-    states = [BlochState.from_statevector(psi)]
-    tags = [SegmentKind.UNITARY]
-    samples_per_period = 0
-
-    for n in range(n_periods):
-        if params.tau > 0:
-            for i in range(sub):
-                psi = u_step @ psi
-                psi /= np.linalg.norm(psi)
-                times.append(n + params.p * (i + 1) / sub)
-                states.append(BlochState.from_statevector(psi))
-                tags.append(SegmentKind.UNITARY)
-        if params.beta > 0:
-            for i in range(sub):
-                psi = t_step @ psi
-                psi /= np.linalg.norm(psi)
-                times.append(n + params.p + (1 - params.p) * (i + 1) / sub)
-                states.append(BlochState.from_statevector(psi))
-                tags.append(SegmentKind.THERMAL)
-        if n == 0:
-            samples_per_period = len(times) - 1
-
+    times = np.concatenate([[0.0], (np.arange(n_periods)[:, None] + offsets).ravel()])
     return Trajectory(
-        times=np.asarray(times),
-        states=states,
-        segment_tags=tags,
-        samples_per_period=samples_per_period,
+        times=times,
+        theta=theta,
+        phi=phi,
+        segment_tags=[SegmentKind.UNITARY] + tags * n_periods,
+        samples_per_period=spp,
         n_periods=n_periods,
     )
 

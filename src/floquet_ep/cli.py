@@ -384,16 +384,11 @@ def _run_bloch_traj(cfg: RunConfig) -> list[Column]:
         phase = complex(math.cos(phi), math.sin(phi))
         psi0 = np.array([math.cos(theta / 2), phase * math.sin(theta / 2)], dtype=complex)
     traj = evolve_state(psi0, params, n_periods=p["periods"], substeps_per_segment=p["substeps"])
-    xs, ys, zs = [], [], []
-    for state in traj.states:
-        x, y, z = state.cartesian
-        xs.append(float(x))
-        ys.append(float(y))
-        zs.append(float(z))
+    xs, ys, zs = traj.cartesian.T.tolist()
     return [
-        Column("time", "T", [float(t) for t in traj.times]),
-        Column("theta", "rad", [s.theta for s in traj.states]),
-        Column("phi", "rad", [s.phi for s in traj.states]),
+        Column("time", "T", traj.times.tolist()),
+        Column("theta", "rad", traj.theta.tolist()),
+        Column("phi", "rad", traj.phi.tolist()),
         Column("x", "dimensionless", xs),
         Column("y", "dimensionless", ys),
         Column("z", "dimensionless", zs),

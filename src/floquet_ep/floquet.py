@@ -198,12 +198,17 @@ class FloquetHamiltonian:
         return complex(self.decomposition.vector[2])
 
 
+def _x_rotation(a: float) -> np.ndarray:
+    return np.array([[math.cos(a), -1j * math.sin(a)], [-1j * math.sin(a), math.cos(a)]], dtype=complex)
+
+
+def _z_gain(g: float) -> np.ndarray:
+    return np.array([[math.exp(g), 0.0], [0.0, math.exp(-g)]], dtype=complex)
+
+
 def propagator_unitary(params: FloquetParams) -> np.ndarray:
     """Unitary-segment map exp(-i * j_av * tau * sigma_x)."""
-    a = params.drive_area
-    return np.array(
-        [[math.cos(a), -1j * math.sin(a)], [-1j * math.sin(a), math.cos(a)]], dtype=complex
-    )
+    return _x_rotation(params.drive_area)
 
 
 def propagator_thermal(params: FloquetParams) -> np.ndarray:
@@ -212,8 +217,7 @@ def propagator_thermal(params: FloquetParams) -> np.ndarray:
     Hermitian and positive-definite with eigenvalues e^{+-gain_area}; its
     determinant is exactly 1 because the generator is traceless.
     """
-    g = params.gain_area
-    return np.array([[math.exp(g), 0.0], [0.0, math.exp(-g)]], dtype=complex)
+    return _z_gain(params.gain_area)
 
 
 def _profile_product(step_matrix, duration: float, n_steps: int) -> np.ndarray:
@@ -235,24 +239,12 @@ def propagator_unitary_profile(rate_fn, duration: float, n_steps: int) -> np.nda
     commute, so the result depends only on the mean of ``rate_fn`` over the
     segment (exactly so for profiles piecewise-constant on the step grid).
     """
-
-    def step(t, dt):
-        a = rate_fn(t) * dt
-        return np.array(
-            [[math.cos(a), -1j * math.sin(a)], [-1j * math.sin(a), math.cos(a)]], dtype=complex
-        )
-
-    return _profile_product(step, duration, n_steps)
+    return _profile_product(lambda t, dt: _x_rotation(rate_fn(t) * dt), duration, n_steps)
 
 
 def propagator_thermal_profile(rate_fn, duration: float, n_steps: int) -> np.ndarray:
     """Fine-step product integrator for a time-dependent gain/loss rate."""
-
-    def step(t, dt):
-        g = rate_fn(t) * dt
-        return np.array([[math.exp(g), 0.0], [0.0, math.exp(-g)]], dtype=complex)
-
-    return _profile_product(step, duration, n_steps)
+    return _profile_product(lambda t, dt: _z_gain(rate_fn(t) * dt), duration, n_steps)
 
 
 def floquet_operator(params: FloquetParams) -> tuple[np.ndarray, PauliDecomposition]:

@@ -8,7 +8,8 @@ second-order exceptional point at gamma = kx.
 
 Post-selection keeps the evolved density matrix normalized at every time, in
 both PT phases; all evolution here goes through the closed-form non-unitary
-propagator, evaluated from scratch at each requested time.
+propagator, evaluated for a whole time grid in batched array passes (the
+scalar public functions are one-time calls into the same helpers).
 """
 
 from __future__ import annotations
@@ -104,12 +105,25 @@ def hamiltonian_two_qubit(params: TwoQubitParams) -> np.ndarray:
     )
 
 
-def _sinc_like(z: complex, t: float) -> complex:
-    """sin(z)/(z/t) = t * sin(z)/z, stable through z -> 0."""
-    if abs(z) < 1e-4:
-        z2 = z * z
-        return t * (1.0 - z2 / 6.0 + z2 * z2 / 120.0)
-    return t * cmath.sin(z) / z
+def _f0_cos(params: TwoQubitParams, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``f0 = sin(delta t)/delta`` (its series below |delta t| = 1e-4) and ``cos(delta t)``."""
+    z = params.delta * ts
+    small = np.abs(z) < 1e-4
+    zs, z2 = np.where(small, 1.0, z), z * z
+    f0 = np.where(small, ts * (1.0 - z2 / 6.0 + z2 * z2 / 120.0), ts * np.sin(zs) / zs)
+    return f0, np.cos(z)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # overflow yields non-finite entries; callers check
+def _propagators(params: TwoQubitParams, ts: np.ndarray) -> np.ndarray:
+    """Closed-form propagators at every time in ``ts``, shape (n, 4, 4)."""
+    if np.any(ts < 0):
+        raise ValueError("t must be non-negative")
+    f0, cz = _f0_cos(params, ts)
+    pp, pm = cz + params.gamma * f0, cz - params.gamma * f0
+    c, s, kf = np.cos(params.j * ts), np.sin(params.j * ts), params.kx * f0
+    a, b, e, f, g, h = c * pp, -1j * s * pp, -kf * s, -1j * kf * c, c * pm, -1j * s * pm
+    return np.stack([a, b, e, f, b, a, f, e, e, f, g, h, f, e, h, g], axis=-1).reshape(-1, 4, 4)
 
 
 def propagator_analytic(params: TwoQubitParams, t: float) -> np.ndarray:
@@ -123,26 +137,7 @@ def propagator_analytic(params: TwoQubitParams, t: float) -> np.ndarray:
     and the trig functions turn hyperbolic.  Continuous across the PT
     transition by construction.
     """
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    d = params.delta
-    z = d * t
-    f0 = _sinc_like(z, t)
-    cz = cmath.cos(z)
-    pp = cz + params.gamma * f0
-    pm = cz - params.gamma * f0
-    c = math.cos(params.j * t)
-    s = math.sin(params.j * t)
-    kf = params.kx * f0
-    return np.array(
-        [
-            [c * pp, -1j * s * pp, -kf * s, -1j * kf * c],
-            [-1j * s * pp, c * pp, -1j * kf * c, -kf * s],
-            [-kf * s, -1j * kf * c, c * pm, -1j * s * pm],
-            [-1j * kf * c, -kf * s, -1j * s * pm, c * pm],
-        ],
-        dtype=complex,
-    )
+    return _propagators(params, np.array([float(t)]))[0]
 
 
 def validate_density(rho, herm_tol: float = 1e-11, trace_tol: float = 1e-11, psd_tol: float = 1e-10) -> np.ndarray:
@@ -160,6 +155,20 @@ def validate_density(rho, herm_tol: float = 1e-11, trace_tol: float = 1e-11, psd
     return a
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _evolve(rho: np.ndarray, params: TwoQubitParams, ts: np.ndarray) -> np.ndarray:
+    """``G rho G^dagger / tr(G rho G^dagger)`` at every time in ``ts`` for a
+    validated 4x4 ``rho``, shape (n, 4, 4)."""
+    g = _propagators(params, ts)
+    out = g @ rho @ g.conj().swapaxes(-1, -2)
+    tr = np.trace(out, axis1=1, axis2=2).real
+    bad = ~((tr > 0) & np.isfinite(tr))
+    if bad.any():
+        raise NumericsError(f"propagated trace {tr[bad.argmax()]} is not a positive finite number")
+    out = out / tr[:, None, None]
+    return (out + out.conj().swapaxes(-1, -2)) / 2
+
+
 def evolve_density(rho0, params: TwoQubitParams, t: float) -> np.ndarray:
     """Propagate and renormalize: G rho G^dagger / tr(G rho G^dagger).
 
@@ -171,13 +180,15 @@ def evolve_density(rho0, params: TwoQubitParams, t: float) -> np.ndarray:
     rho = validate_density(rho0)
     if rho.shape[0] != 4:
         raise ValueError("pair evolution needs a 4x4 density matrix")
-    g = propagator_analytic(params, t)
-    out = g @ rho @ g.conj().T
-    tr = np.trace(out).real
-    if not tr > 0 or not math.isfinite(tr):
-        raise NumericsError(f"propagated trace {tr} is not a positive finite number")
-    out = out / tr
-    return (out + out.conj().T) / 2
+    return _evolve(rho, params, np.array([float(t)]))[0]
+
+
+def _concurrence(rhos: np.ndarray) -> np.ndarray:
+    w, v = np.linalg.eigh(rhos)
+    root = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    c = np.linalg.svd(root @ _YY @ root.conj(), compute_uv=False)
+    diff = c[..., 0] - c[..., 1] - c[..., 2] - c[..., 3]
+    return np.where(diff > 0, diff, 0.0)
 
 
 def concurrence(rho) -> float:
@@ -192,11 +203,7 @@ def concurrence(rho) -> float:
     a = validate_density(rho)
     if a.shape[0] != 4:
         raise ValueError("concurrence is defined for 4x4 density matrices")
-    w, v = np.linalg.eigh(a)
-    w = np.clip(w, 0.0, None)
-    root = (v * np.sqrt(w)) @ v.conj().T
-    c = np.linalg.svd(root @ _YY @ root.conj(), compute_uv=False)
-    return max(0.0, float(c[0] - c[1] - c[2] - c[3]))
+    return float(_concurrence(a))
 
 
 def concurrence_closed_form_00(params: TwoQubitParams, t: float) -> float:
@@ -215,10 +222,8 @@ def concurrence_closed_form_00(params: TwoQubitParams, t: float) -> float:
         raise ValueError("t must be non-negative")
     if t == 0:
         return 0.0
-    d = params.delta
-    z = d * t
-    f0 = _sinc_like(z, t)
-    pp = cmath.cos(z) + params.gamma * f0
+    f0, cz = (complex(x[0]) for x in _f0_cos(params, np.array([float(t)])))
+    pp = cz + params.gamma * f0
     num = 2 * params.kx * abs(f0 * pp)
     den = abs(params.kx**2 * f0 * f0 + pp * pp)
     if den == 0.0:
@@ -238,24 +243,33 @@ def steady_state_concurrence(params: TwoQubitParams) -> float | None:
     return params.kx / params.gamma
 
 
+#: einsum partial traces onto one qubit of (..., 2, 2, 2, 2)-shaped states
+_PARTIAL_TRACE = {Qubit.UNITARY: "...ijil->...jl", Qubit.THERMAL: "...ijkj->...ik"}
+
+
 def reduced_density(rho, which: Qubit) -> np.ndarray:
     """Partial trace onto one qubit (first factor thermal, second unitary)."""
     a = validate_density(rho)
     if a.shape[0] != 4:
         raise ValueError("reduced_density expects a 4x4 density matrix")
-    r = a.reshape(2, 2, 2, 2)
-    if which is Qubit.UNITARY:
-        return np.einsum("ijil->jl", r)
-    if which is Qubit.THERMAL:
-        return np.einsum("ijkj->ik", r)
-    raise ValueError(f"unknown qubit selector {which!r}")
+    if not isinstance(which, Qubit):
+        raise ValueError(f"unknown qubit selector {which!r}")
+    return np.einsum(_PARTIAL_TRACE[which], a.reshape(2, 2, 2, 2))
+
+
+def _entropy(rhos: np.ndarray) -> np.ndarray:
+    w = np.clip(np.linalg.eigvalsh(rhos), 0.0, 1.0)
+    terms = np.where(w > 0.0, w * np.log2(np.where(w > 0.0, w, 1.0)), 0.0)
+    return -terms.sum(axis=-1) + 0.0  # avoid -0.0
 
 
 def entropy(rho) -> float:
     """Von Neumann entropy in bits, -sum p log2 p, with 0 log 0 = 0."""
-    a = validate_density(rho)
-    w = np.clip(np.linalg.eigvalsh(a), 0.0, 1.0)
-    return float(-sum(p * math.log2(p) for p in w if p > 0.0)) + 0.0  # avoid -0.0
+    return float(_entropy(validate_density(rho)))
+
+
+#: times per array pass; bounds the (n, 4, 4) intermediates of long grids
+_TIME_CHUNK = 1024
 
 
 def entanglement_timeseries(rho0, params: TwoQubitParams, t_grid) -> list[EntanglementRecord]:
@@ -271,17 +285,16 @@ def entanglement_timeseries(rho0, params: TwoQubitParams, t_grid) -> list[Entang
     if np.any(np.diff(ts) <= 0):
         raise ValueError("t_grid must be strictly increasing")
     rho0 = validate_density(rho0)
+    if rho0.shape[0] != 4:
+        raise ValueError("pair evolution needs a 4x4 density matrix")
     records = []
-    for t in ts:
-        rho = evolve_density(rho0, params, float(t))
-        records.append(
-            EntanglementRecord(
-                time=params.j * float(t),
-                concurrence=concurrence(rho),
-                entropy_unitary=entropy(reduced_density(rho, Qubit.UNITARY)),
-                entropy_thermal=entropy(reduced_density(rho, Qubit.THERMAL)),
-            )
-        )
+    for lo in range(0, len(ts), _TIME_CHUNK):
+        chunk = ts[lo : lo + _TIME_CHUNK]
+        rhos = _evolve(rho0, params, chunk)
+        parts = rhos.reshape(-1, 2, 2, 2, 2)
+        s_u, s_t = (_entropy(np.einsum(_PARTIAL_TRACE[q], parts)) for q in (Qubit.UNITARY, Qubit.THERMAL))
+        cols = (params.j * chunk, _concurrence(rhos), s_u, s_t)
+        records += [EntanglementRecord(*row) for row in zip(*(c.tolist() for c in cols))]
     return records
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from floquet_ep.bloch import (
     BlochState,
@@ -11,10 +13,30 @@ from floquet_ep.bloch import (
     steady_state_bloch,
     stroboscopic_slice,
 )
-from floquet_ep.floquet import FloquetParams
+from floquet_ep.floquet import FloquetParams, ep_contour_gamma
 
 SYMMETRIC = FloquetParams.from_dimensionless(1.0, 2.5 * math.pi)
 BROKEN = FloquetParams.from_dimensionless(1.25, 2.5 * math.pi)
+AT_EP = SYMMETRIC.with_gamma(ep_contour_gamma(SYMMETRIC, branch=1))
+
+
+def reference_vectors(psi0, params, n_periods, sub):
+    """Step-by-step reference: apply the one-substep map and renormalize
+    after every substep; Bloch vectors straight from the statevector."""
+    a, g = params.j_av * params.tau / sub, params.gamma_av * params.beta / sub
+    u_step = np.array([[math.cos(a), -1j * math.sin(a)], [-1j * math.sin(a), math.cos(a)]])
+    t_step = np.diag([math.exp(g), math.exp(-g)]).astype(complex)
+    psi = np.asarray(psi0, dtype=complex)
+    states = [psi]
+    for _ in range(n_periods):
+        for step in [u_step] * sub + [t_step] * sub:
+            psi = step @ psi
+            psi = psi / np.linalg.norm(psi)
+            states.append(psi)
+    return np.array(
+        [[2 * (v[0].conjugate() * v[1]).real, 2 * (v[0].conjugate() * v[1]).imag,
+          abs(v[0]) ** 2 - abs(v[1]) ** 2] for v in states]
+    )
 
 
 def strobo_vectors(params, psi0, n_periods, substeps=64):
@@ -37,6 +59,10 @@ class TestBlochState:
             state = BlochState.from_statevector(psi)
             again = BlochState.from_cartesian(state.cartesian)
             assert np.allclose(state.cartesian, again.cartesian, atol=1e-12)
+
+    def test_theta_accurate_near_the_pole(self):
+        state = BlochState.from_statevector([1.0, 1e-9])
+        assert state.theta == pytest.approx(2e-9, rel=1e-12)
 
     def test_phi_range(self):
         state = BlochState.from_cartesian([-1.0, 0.0, 0.0])  # atan2 returns +pi here
@@ -102,6 +128,29 @@ class TestEvolveState:
         last = np.array([s.cartesian for s in traj.states[1 + 58 * per : 1 + 59 * per]])
         prev = np.array([s.cartesian for s in traj.states[1 + 57 * per : 1 + 58 * per]])
         assert np.linalg.norm(last - prev, axis=1).max() < 1e-6
+
+    @pytest.mark.parametrize(
+        "params",
+        [SYMMETRIC, BROKEN, AT_EP, FloquetParams(p=0.5, T=1.6, j_av=1.0, gamma_av=-0.9)],
+        ids=["symmetric", "broken", "exceptional-point", "negative-gain"],
+    )
+    def test_matches_renormalize_every_substep_loop(self, params):
+        traj = evolve_state(equal_superposition_xyz(), params, n_periods=30, substeps_per_segment=16)
+        want = reference_vectors(equal_superposition_xyz(), params, 30, 16)
+        assert np.abs(traj.cartesian - want).max() < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        gamma_ratio=st.floats(0.01, 1e3),
+        omega_ratio=st.floats(0.1, 3.0),
+        sign=st.sampled_from([1.0, -1.0]),
+    )
+    def test_states_finite_for_any_gain(self, gamma_ratio, omega_ratio, sign):
+        params = FloquetParams.from_dimensionless(gamma_ratio, omega_ratio)
+        params = params.with_gamma(sign * params.gamma_av)
+        traj = evolve_state(equal_superposition_xyz(), params, n_periods=6, substeps_per_segment=8)
+        assert np.all(np.isfinite(traj.theta)) and np.all(np.isfinite(traj.phi))
+        assert np.all((traj.theta >= 0) & (traj.theta <= math.pi))
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

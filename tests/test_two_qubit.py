@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from floquet_ep.cli import main
 from floquet_ep.floquet import PhaseKind
 from floquet_ep.linalg import IDENTITY_2, PAULI_X, PAULI_Z, eig, expm, kron
 from floquet_ep.two_qubit import (
@@ -29,6 +31,25 @@ from floquet_ep.two_qubit import (
 SYMMETRIC = TwoQubitParams(j=0.5, gamma=0.75, kx=1.0)
 AT_EP = TwoQubitParams(j=0.5, gamma=1.0, kx=1.0)
 BROKEN = TwoQubitParams(j=0.5, gamma=1.25, kx=1.0)
+
+# fig3c-f rates: gamma below, at and above kx, and the uncoupled pair
+FIG3_RATES = [
+    (SYMMETRIC, 25.0), (AT_EP, 25.0), (BROKEN, 25.0),
+    (TwoQubitParams(j=1.0, gamma=1.5, kx=0.0), 40.0),
+    (TwoQubitParams(j=1.0, gamma=1.5, kx=1.5), 40.0),
+    (TwoQubitParams(j=1.0, gamma=1.5, kx=1.6), 40.0),
+]
+
+
+def reference_records(rho0, params, t_grid):
+    """One time at a time through the public single-state functions."""
+    rows = []
+    for t in t_grid:
+        rho = evolve_density(rho0, params, float(t))
+        rows.append((params.j * float(t), concurrence(rho),
+                     entropy(reduced_density(rho, Qubit.UNITARY)),
+                     entropy(reduced_density(rho, Qubit.THERMAL))))
+    return np.array(rows)
 
 
 def random_pure_density(rng):
@@ -291,6 +312,33 @@ class TestTimeseries:
         )
         assert records[-1].entropy_unitary > 0.99
         assert records[-1].entropy_unitary > records[0].entropy_unitary
+
+    @pytest.mark.parametrize("label", ["00", "bell", "mixed", "correlated"])
+    @pytest.mark.parametrize("params,t_max", FIG3_RATES)
+    def test_matches_one_time_at_a_time(self, label, params, t_max):
+        t_grid = np.linspace(0.0, t_max, 61)
+        rho0 = density_from_label(label)
+        got = np.array([[r.time, r.concurrence, r.entropy_unitary, r.entropy_thermal]
+                        for r in entanglement_timeseries(rho0, params, t_grid)])
+        assert np.abs(got - reference_records(rho0, params, t_grid)).max() <= 1e-12
+
+    def test_grid_longer_than_one_array_pass(self):
+        t_grid = np.linspace(0.0, 25.0, 2500)
+        records = entanglement_timeseries(bell_density(), BROKEN, t_grid)
+        assert len(records) == len(t_grid)
+        got = np.array([[r.time, r.concurrence, r.entropy_unitary, r.entropy_thermal]
+                        for r in records[1020:1030]])
+        want = reference_records(bell_density(), BROKEN, t_grid[1020:1030])
+        assert np.abs(got - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("gamma,t_max", [("3", "200"), ("1e3", "50")])
+    def test_overflow_is_a_clean_runtime_error(self, gamma, t_max, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status = main(["two-qubit", "--gamma", gamma, "--kx", "1", "--t-max", t_max,
+                           "--output", str(tmp_path / "pair.csv")])
+        assert status == 1
+        assert capsys.readouterr().err == "error: propagated trace inf is not a positive finite number\n"
 
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):
