@@ -8,7 +8,7 @@ Core surfaces:
 - :mod:`floquet_ep.bloch` -- post-selected Bloch-sphere trajectories.
 - :mod:`floquet_ep.two_qubit` -- coupled thermal/unitary pair: propagator,
   concurrence, entropies.
-- :mod:`floquet_ep.sweep` -- parallel phase-diagram grids and contour traces.
+- :mod:`floquet_ep.sweep` -- phase-diagram grids (one array pass) and contour traces.
 - :mod:`floquet_ep.cli` -- the ``floquet-ep`` command-line front end.
 """
 

@@ -100,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[q.value for q in Quantity],
         help="cell quantity: eigenvector inner product, phase discriminant, or phase code (default inner-product)",
     )
-    p_pd.add_argument("--workers", type=int, help="parallel workers; capped by FLOQUET_EP_THREADS (default 1)")
+    p_pd.add_argument("--workers", type=int, help="accepted, must be >= 1; one array pass, same output for any count")
     common(p_pd, "phase-diagram")
 
     p_ec = sub.add_parser("ep-contour", help="exceptional-point contour polylines over a frequency window")
@@ -147,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pr.add_argument("name", choices=PRESET_NAMES, metavar="NAME", help=", ".join(PRESET_NAMES))
     p_pr.add_argument("--output", help="override the preset output path")
     p_pr.add_argument("--format", choices=FORMATS, help="override the preset format")
-    p_pr.add_argument("--workers", type=int, help="override workers (phase-diagram preset only)")
+    p_pr.add_argument("--workers", type=int, help="phase-diagram presets: must be >= 1; same output for any count")
     return parser
 
 
@@ -206,6 +206,9 @@ def _parse_grid(raw) -> list[int]:
 
 def _validate(command: str, params: dict) -> dict:
     p = dict(params)
+    for key, value in p.items():
+        for v in value if isinstance(value, list) else [value]:
+            _require(not isinstance(v, float) or math.isfinite(v), key, f"{v} (must be a finite number)")
     if command in ("phase-diagram", "ep-contour", "floquet-ham", "bloch-traj"):
         _require(0.0 < p["p"] < 1.0, "p", f"{p['p']} (must lie strictly between 0 and 1)")
         _require(p["j_av"] > 0, "j_av", f"{p['j_av']} (must be positive)")
@@ -243,6 +246,7 @@ def _validate(command: str, params: dict) -> dict:
                     f"invalid value for init: {p['init']!r} (expected 'xyz' or 'THETA,PHI')"
                 ) from None
             _require(0 <= theta <= math.pi, "init", "theta must lie in [0, pi]")
+            _require(math.isfinite(phi), "init", f"phi {phi} (must be a finite number)")
             p["init"] = [theta, phi]
     elif command == "two-qubit":
         for key in ("gamma", "kx"):
@@ -314,19 +318,12 @@ def _run_phase_diagram(cfg: RunConfig) -> list[Column]:
         j_av=p["j_av"],
     )
     hm = compute_heatmap(grid, Quantity(p["quantity"]), workers=cfg.workers)
-    gammas = hm.gamma_values()
-    omegas = hm.omega_values()
-    g_col, o_col, v_col = [], [], []
-    for i in range(len(gammas)):
-        for j in range(len(omegas)):
-            g_col.append(float(gammas[i]))
-            o_col.append(float(omegas[j]))
-            v_col.append(float(hm.values[i, j]))
+    n_gamma, n_omega = hm.values.shape
     qname = p["quantity"].replace("-", "_")
     return [
-        Column("gamma_ratio", "dimensionless", g_col),
-        Column("omega_ratio", "dimensionless", o_col),
-        Column(qname, "dimensionless", v_col),
+        Column("gamma_ratio", "dimensionless", np.repeat(hm.gamma_values(), n_omega).tolist()),
+        Column("omega_ratio", "dimensionless", np.tile(hm.omega_values(), n_gamma).tolist()),
+        Column(qname, "dimensionless", hm.values.ravel().tolist()),
     ]
 
 
@@ -440,7 +437,7 @@ def main(argv=None) -> int:
     try:
         envelope = run(config)
         path = write_result(envelope)
-    except (OSError, NumericsError, ValueError) as exc:
+    except (OSError, NumericsError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     n_rows = len(envelope.columns[0].values) if envelope.columns else 0

@@ -52,9 +52,10 @@ class RunConfig:
     """Fully validated run request: one command, its parameter map, and
     where/how to write the result.
 
-    ``workers`` is an execution detail (parallelism of the sweep); it never
-    enters the serialized result, which must be identical for any worker
-    count.  The same goes for ``output_path``.
+    ``workers`` is accepted for the phase diagram and validated (>= 1), but
+    the heat map is one array pass, so it changes nothing; it never enters
+    the serialized result, which is identical for any worker count.  The
+    same goes for ``output_path``.
     """
 
     command: str

@@ -56,6 +56,9 @@ __all__ = [
 #: unitary segment is trivial and the eigenvectors are Dirac-orthogonal.
 RESONANCE_TOL = 1e-12
 
+#: default half-width of the discriminant band labelled an exceptional point
+PHASE_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class FloquetParams:
@@ -254,11 +257,41 @@ def floquet_operator(params: FloquetParams) -> tuple[np.ndarray, PauliDecomposit
     return gf, pauli_decompose(gf)
 
 
+def _half_trace(drive_area, gain_area):
+    """Half-trace ``cos(drive_area) * cosh(gain_area)`` of the one-period
+    map; saturates to +-inf at strong gain.  Scalars or arrays."""
+    with np.errstate(over="ignore"):
+        return np.cos(drive_area) * np.cosh(gain_area)
+
+
+def _discriminant(drive_area, gain_area):
+    """``(q - 1)(q + 1)`` for the half-trace q; +inf at strong gain."""
+    with np.errstate(over="ignore"):
+        q = _half_trace(drive_area, gain_area)
+        return (q - 1.0) * (q + 1.0)
+
+
+def _phase_code(d, tol: float = PHASE_TOL):
+    """-1 PT-symmetric, 0 exceptional point (``|d| <= tol``), +1 PT-broken."""
+    return np.where(d < -tol, -1.0, np.where(d > tol, 1.0, 0.0))
+
+
+def _eigenvector_overlap(drive_area, gain_area):
+    """``min(r, 1/r)`` with ``r = |sin(drive_area) / tanh(gain_area)|``, and
+    0 at a resonance (``|sin| < RESONANCE_TOL``) or at zero gain, where the
+    map is Hermitian and its eigenvectors orthogonal."""
+    s = np.sin(drive_area)
+    th = np.tanh(gain_area)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.abs(s / th)
+        overlap = np.minimum(r, 1.0 / r)
+    return np.where((np.abs(s) < RESONANCE_TOL) | (th == 0.0), 0.0, overlap)
+
+
 def discriminant(params: FloquetParams) -> float:
     """Squared Pauli-vector length of the one-period map, in closed form:
-    ``cos^2(drive_area) * cosh^2(gain_area) - 1``."""
-    q = math.cos(params.drive_area) * math.cosh(params.gain_area)
-    return (q - 1.0) * (q + 1.0)
+    ``cos^2(drive_area) * cosh^2(gain_area) - 1``; +inf once that overflows."""
+    return float(_discriminant(params.drive_area, params.gain_area))
 
 
 def floquet_eigenvalues(params: FloquetParams) -> tuple[complex, complex]:
@@ -267,22 +300,17 @@ def floquet_eigenvalues(params: FloquetParams) -> tuple[complex, complex]:
     Both lie on the unit circle in the PT-symmetric phase; their product is
     the determinant, which is exactly 1 for this protocol.
     """
-    g0 = math.cos(params.drive_area) * math.cosh(params.gain_area)
+    g0 = float(_half_trace(params.drive_area, params.gain_area))
     mod = cmath.sqrt(complex(discriminant(params)))
     return g0 + mod, g0 - mod
 
 
-def classify_phase(params: FloquetParams, tol: float = 1e-10) -> PhaseLabel:
+def classify_phase(params: FloquetParams, tol: float = PHASE_TOL) -> PhaseLabel:
     """PT-phase label from the sign of the discriminant."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     d = discriminant(params)
-    if d < -tol:
-        kind = PhaseKind.PT_SYMMETRIC
-    elif d > tol:
-        kind = PhaseKind.PT_BROKEN
-    else:
-        kind = PhaseKind.EXCEPTIONAL_POINT
+    kind = (PhaseKind.PT_SYMMETRIC, PhaseKind.EXCEPTIONAL_POINT, PhaseKind.PT_BROKEN)[int(_phase_code(d, tol)) + 1]
     return PhaseLabel(kind=kind, discriminant=d, tol=tol)
 
 
@@ -294,15 +322,7 @@ def eigenvector_overlap(params: FloquetParams) -> float:
     unitary period or at a resonance (orthogonal eigenvectors) and reaches
     1 exactly on an exceptional contour.
     """
-    s = math.sin(params.drive_area)
-    if abs(s) < RESONANCE_TOL:
-        # trivial unitary segment: the map is Hermitian, eigenvectors orthogonal
-        return 0.0
-    th = math.tanh(params.gain_area)
-    if th == 0.0:
-        return 0.0
-    r = abs(s / th)
-    return min(r, 1.0 / r)
+    return float(_eigenvector_overlap(params.drive_area, params.gain_area))
 
 
 def ep_contour_gamma(params: FloquetParams, branch: int) -> float | None:
@@ -404,8 +424,7 @@ def floquet_hamiltonian_on_contour(params: FloquetParams, tol: float = 1e-8) -> 
     hx = complex(math.tan(params.drive_area) / T)
     hz = 1j * math.tanh(params.gain_area) / T
     hy = T * hx * hz
-    sign = math.cos(params.drive_area) * math.cosh(params.gain_area)
-    h0 = 0.0 if sign > 0 else -math.pi / T
+    h0 = 0.0 if _half_trace(params.drive_area, params.gain_area) > 0 else -math.pi / T
     dec = PauliDecomposition(complex(h0), np.array([hx, hy, hz], dtype=complex))
     return FloquetHamiltonian(decomposition=dec, on_contour=True)
 

@@ -1,17 +1,17 @@
-"""Parallel parameter-grid evaluation for the single-qubit phase diagram.
+"""Parameter-grid evaluation for the single-qubit phase diagram.
 
 Grids are specified in the dimensionless phase-diagram coordinates
 ``(1-p)*gamma_av/(p*j_av)`` (gain axis) and ``omega/(p*j_av)`` (frequency
-axis).  Cells are pure-function evaluations, so work is partitioned by grid
-rows, every worker count produces bit-identical results, and the worker pool
-shares nothing mutable.
+axis).  Every cell quantity is an elementwise closed form, so a heat map is
+one numpy pass over the whole grid through the same helpers as the scalar
+functions of :mod:`floquet_ep.floquet`; each cell equals the scalar result
+at :meth:`GridSpec.params_at` bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -19,10 +19,9 @@ import numpy as np
 
 from .floquet import (
     FloquetParams,
-    PhaseKind,
-    classify_phase,
-    discriminant,
-    eigenvector_overlap,
+    _discriminant,
+    _eigenvector_overlap,
+    _phase_code,
     ep_contour_gamma,
 )
 
@@ -93,14 +92,6 @@ class Quantity(Enum):
     PHASE = "phase"
 
 
-#: numeric encoding of phase labels in heat maps
-PHASE_CODE = {
-    PhaseKind.PT_SYMMETRIC: -1.0,
-    PhaseKind.EXCEPTIONAL_POINT: 0.0,
-    PhaseKind.PT_BROKEN: 1.0,
-}
-
-
 @dataclass
 class HeatMap:
     """Row-major values: ``values[i, j]`` belongs to gamma row i, omega
@@ -115,20 +106,6 @@ class HeatMap:
 
     def omega_values(self) -> np.ndarray:
         return self.grid.omega_axis.values()
-
-
-def _cell(grid: GridSpec, quantity: Quantity, gamma_ratio: float, omega_ratio: float) -> float:
-    params = grid.params_at(gamma_ratio, omega_ratio)
-    if quantity is Quantity.INNER_PRODUCT:
-        return eigenvector_overlap(params)
-    if quantity is Quantity.DISCRIMINANT:
-        return discriminant(params)
-    return PHASE_CODE[classify_phase(params).kind]
-
-
-def _row(args) -> tuple[int, list[float]]:
-    i, grid, quantity, gamma_ratio, omega_ratios = args
-    return i, [_cell(grid, quantity, gamma_ratio, w) for w in omega_ratios]
 
 
 def resolve_worker_count(requested: int | None = None) -> int:
@@ -147,27 +124,32 @@ def resolve_worker_count(requested: int | None = None) -> int:
 
 
 def compute_heatmap(grid: GridSpec, quantity: Quantity, workers: int | None = None) -> HeatMap:
-    """Evaluate one quantity over the grid.
+    """Evaluate one quantity over the grid in a single array pass.
 
-    Deterministic: the per-cell code path is identical for every worker
-    count, and rows are written to their own output slots, so the result is
-    bit-identical whether computed serially or in a pool.
+    The gain axis is broadcast as a column against the frequency axis as a
+    row; the drive and gain areas use the float operations of
+    :meth:`FloquetParams.from_dimensionless`.  ``workers`` is validated
+    through :func:`resolve_worker_count` and otherwise unused: there is one
+    code path, so the result is identical for every worker count.
     """
-    gammas = grid.gamma_axis.values()
-    omegas = list(grid.omega_axis.values())
-    jobs = [(i, grid, quantity, float(g), omegas) for i, g in enumerate(gammas)]
-    values = np.empty((len(gammas), len(omegas)), dtype=float)
-    n_workers = resolve_worker_count(workers)
-    if n_workers == 1:
-        rows = map(_row, jobs)
+    resolve_worker_count(workers)
+    p, j_av, pj = grid.p, grid.j_av, grid.p * grid.j_av
+    omega = grid.omega_axis.values()[np.newaxis, :] * pj
+    if not np.all(omega > 0):
+        raise ValueError(f"omega must be positive, got {omega.min()}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        gamma_av = grid.gamma_axis.values()[:, np.newaxis] * pj / (1 - p)
+        T = 2 * math.pi / omega
+        drive_area = j_av * (p * T)
+        gain_area = gamma_av * ((1 - p) * T)
+    if not np.all(np.isfinite(drive_area)):
+        raise ValueError("drive area overflows on this grid")
+    if quantity is Quantity.INNER_PRODUCT:
+        values = _eigenvector_overlap(drive_area, gain_area)
     else:
-        pool = ProcessPoolExecutor(max_workers=n_workers)
-        try:
-            rows = list(pool.map(_row, jobs, chunksize=max(1, len(jobs) // (4 * n_workers))))
-        finally:
-            pool.shutdown()
-    for i, row in rows:
-        values[i, :] = row
+        values = _discriminant(drive_area, gain_area)
+        if quantity is Quantity.PHASE:
+            values = _phase_code(values)
     return HeatMap(grid=grid, quantity=quantity, values=values)
 
 

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -287,6 +288,60 @@ class TestRunners:
         env = run(cfg)
         again = json.loads(render_json(env))
         assert again["columns"] == doc["columns"]
+
+
+class TestNumericEdges:
+    @pytest.mark.parametrize(
+        "argv,ini",
+        [
+            (["phase-diagram", "--grid", "3x3", "--gamma-max", "inf"], None),
+            (["phase-diagram", "--grid", "3x3", "--gamma-min", "nan", "--gamma-scale", "linear"], None),
+            (["phase-diagram", "--grid", "3x3", "--j-av", "inf"], None),
+            (["floquet-ham", "--omega", "inf"], None),
+            (["ep-contour", "--omega-max", "inf"], None),
+            (["bloch-traj", "--periods", "1", "--init", "1.0,inf"], None),
+            (["two-qubit", "--gamma", "1.0", "--gamma=-inf"], None),
+            (["two-qubit", "--kx", "nan"], None),
+            (["two-qubit"], "[two-qubit]\nkx = [1.0, NaN]\n"),
+            (["phase-diagram", "--grid", "3x3"], "[phase-diagram]\nomega_max = inf\n"),
+        ],
+    )
+    def test_non_finite_value_is_usage_error(self, argv, ini, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        extra = ["--output", str(out)]
+        if ini is not None:
+            (tmp_path / "run.ini").write_text(ini)
+            extra += ["--config", str(tmp_path / "run.ini")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "finite" in err
+        assert not out.exists()
+
+    def test_overflow_is_a_clean_runtime_error(self, tmp_path, capsys):
+        out = tmp_path / "fh.csv"
+        assert main(["floquet-ham", "--gamma-av", "1000", "--omega", "0.1", "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_strong_gain_discriminant_saturates(self, tmp_path):
+        base = ["phase-diagram", "--gamma-max", "1e4", "--grid", "20x20"]
+        cols = {}
+        for quantity in ("discriminant", "phase"):
+            out = tmp_path / f"{quantity}.csv"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(base + ["--quantity", quantity, "--output", str(out)]) == 0
+            cols[quantity] = np.array(parse_csv(out.read_text())[1][2])
+        disc, phase = cols["discriminant"], cols["phase"]
+        saturated = disc == math.inf
+        assert np.all(np.isfinite(disc) | saturated)
+        assert saturated.sum() == 148
+        assert np.all(phase[saturated] == 1.0)
 
 
 class TestModuleEntryPoint:

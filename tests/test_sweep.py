@@ -5,11 +5,15 @@ import pytest
 
 from floquet_ep.floquet import (
     FloquetParams,
+    PhaseKind,
+    classify_phase,
     discriminant,
+    eigenvector_overlap,
     ep_contour_gamma,
     ep_gamma_high_frequency,
     ep_node_asymptote,
 )
+from floquet_ep.presets import figure_preset
 from floquet_ep.sweep import (
     AxisSpec,
     GridSpec,
@@ -120,6 +124,72 @@ class TestHeatmap:
         assert resolve_worker_count(None) == 1
         with pytest.raises(ValueError):
             resolve_worker_count(0)
+
+
+PHASE_CODES = {PhaseKind.PT_SYMMETRIC: -1.0, PhaseKind.EXCEPTIONAL_POINT: 0.0, PhaseKind.PT_BROKEN: 1.0}
+
+SCALAR_REFERENCE = {
+    Quantity.INNER_PRODUCT: eigenvector_overlap,
+    Quantity.DISCRIMINANT: discriminant,
+    Quantity.PHASE: lambda params: PHASE_CODES[classify_phase(params).kind],
+}
+
+
+def fig1b_grid() -> GridSpec:
+    p = figure_preset("fig1b").parameters
+    return GridSpec(
+        gamma_axis=AxisSpec(p["gamma_min"], p["gamma_max"], p["grid"][0], p["gamma_scale"]),
+        omega_axis=AxisSpec(p["omega_min"], p["omega_max"], p["grid"][1], p["omega_scale"]),
+        p=p["p"],
+        j_av=p["j_av"],
+    )
+
+
+# zero-gain row, and an exact-resonance column at omega_ratio = 2 (drive area
+# pi, where sin is ~1e-16 rather than 0)
+RESONANCE_GRID = GridSpec(
+    gamma_axis=AxisSpec(0.0, 2.0, 9, "linear"),
+    omega_axis=AxisSpec(1.0, 3.0, 5, "linear"),
+)
+
+
+class TestHeatmapKernel:
+    """Every heat-map cell equals the scalar public function at
+    ``grid.params_at(gamma, omega)`` bit for bit."""
+
+    @staticmethod
+    def assert_matches_scalar(grid, quantity, rows, cols):
+        hm = compute_heatmap(grid, quantity)
+        gammas, omegas = hm.gamma_values(), hm.omega_values()
+        reference = SCALAR_REFERENCE[quantity]
+        for i in rows:
+            for j in cols:
+                want = reference(grid.params_at(float(gammas[i]), float(omegas[j])))
+                assert hm.values[i, j] == want, (quantity, i, j, hm.values[i, j], want)
+
+    @pytest.mark.parametrize("quantity", list(Quantity))
+    def test_fig1b_subsample_bitwise(self, quantity):
+        self.assert_matches_scalar(fig1b_grid(), quantity, range(0, 400, 7), range(3, 400, 11))
+
+    @pytest.mark.parametrize("quantity", list(Quantity))
+    def test_zero_gain_and_resonance_bitwise(self, quantity):
+        self.assert_matches_scalar(RESONANCE_GRID, quantity, range(9), range(5))
+
+    def test_resonance_column_is_orthogonal(self):
+        hm = compute_heatmap(RESONANCE_GRID, Quantity.INNER_PRODUCT)
+        assert hm.omega_values()[2] == 2.0
+        assert abs(math.sin(RESONANCE_GRID.params_at(1.0, 2.0).drive_area)) > 0.0
+        assert np.all(hm.values[:, 2] == 0.0)
+
+    @pytest.mark.parametrize("omega_lo,message", [(0.0, "omega must be positive"), (1e-310, "drive area")])
+    def test_rejects_degenerate_frequency(self, omega_lo, message):
+        grid = GridSpec(AxisSpec(0.1, 1.0, 3), AxisSpec(omega_lo, 1.0, 3))
+        with pytest.raises(ValueError, match=message):
+            compute_heatmap(grid, Quantity.PHASE)
+
+    def test_workers_validated(self):
+        with pytest.raises(ValueError):
+            compute_heatmap(RESONANCE_GRID, Quantity.PHASE, workers=0)
 
 
 class TestGainSignSymmetry:
