@@ -2,9 +2,9 @@
 
 Subcommands: phase-diagram, ep-contour, floquet-ham, bloch-traj, two-qubit,
 preset.  Values may also come from an INI-style config file (one section per
-command); explicit flags override file values, which override the built-in
-defaults.  Exit statuses: 0 success, 1 runtime or I/O failure, 2 usage
-error.
+command).  Each run merges the built-in defaults, a preset's overrides, the
+config file and the flags, in that order, and validates the result once.
+Exit statuses: 0 success, 1 runtime or I/O failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from .floquet import (
     floquet_hamiltonian_on_contour,
 )
 from .linalg import NearDefectiveError, NumericsError
-from .presets import PRESET_NAMES, figure_preset
-from .sweep import AxisSpec, GridSpec, Quantity, compute_heatmap, trace_contours
+from .presets import PRESET_NAMES, PRESETS
+from .sweep import AxisSpec, GridSpec, Quantity, compute_heatmap, resolve_worker_count, trace_contours
 from .two_qubit import TwoQubitParams, density_from_label, entanglement_timeseries
 
 __all__ = ["UsageError", "parse_config", "run", "main"]
@@ -64,7 +64,19 @@ _DEFAULTS: dict[str, dict] = {
     "two-qubit": {"j": 0.5, "gamma": [1.0], "kx": [1.0], "init": "00", "t_max": 20.0, "steps": 400},
 }
 
-_DEFAULT_OUTPUT = {name: f"{name}.csv" for name in _DEFAULTS}
+#: Keys that every config section takes besides the command parameters;
+#: ``seed`` and ``workers`` stay unset unless given.
+_RUN_KEYS = ("output", "format", "seed", "workers")
+
+#: Type exemplars for the keys that have no default value.
+_UNSET_LIKE = {"seed": 0, "workers": 0, "omega_max": 0.0}
+
+_CHOICES = {
+    "gamma_scale": ("linear", "log"),
+    "omega_scale": ("linear", "log"),
+    "quantity": tuple(q.value for q in Quantity),
+    "format": FORMATS,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p_, command):
         p_.add_argument("--config", help="INI config file; section [%s] supplies defaults" % command)
-        p_.add_argument("--output", help=f"output file (default {_DEFAULT_OUTPUT[command]})")
+        p_.add_argument("--output", help=f"output file (default {command}.csv)")
         p_.add_argument("--format", choices=FORMATS, help="output format (default csv)")
         p_.add_argument("--seed", type=int, help="echoed into the output envelope; physics is deterministic")
 
@@ -91,13 +103,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_pd.add_argument("--grid", help="cells as GAMMAxOMEGA, e.g. 400x400 (default)")
     p_pd.add_argument("--gamma-min", type=float, help="gain axis low end, (1-p)*gamma/(p*j_av) units (default 0.01)")
     p_pd.add_argument("--gamma-max", type=float, help="gain axis high end (default 10)")
-    p_pd.add_argument("--gamma-scale", choices=("linear", "log"), help="gain axis spacing (default log)")
+    p_pd.add_argument("--gamma-scale", choices=_CHOICES["gamma_scale"], help="gain axis spacing (default log)")
     p_pd.add_argument("--omega-min", type=float, help="frequency axis low end, omega/(p*j_av) units (default 0.1)")
     p_pd.add_argument("--omega-max", type=float, help="frequency axis high end (default 3)")
-    p_pd.add_argument("--omega-scale", choices=("linear", "log"), help="frequency axis spacing (default linear)")
+    p_pd.add_argument("--omega-scale", choices=_CHOICES["omega_scale"], help="frequency axis spacing (default linear)")
     p_pd.add_argument(
         "--quantity",
-        choices=[q.value for q in Quantity],
+        choices=_CHOICES["quantity"],
         help="cell quantity: eigenvector inner product, phase discriminant, or phase code (default inner-product)",
     )
     p_pd.add_argument("--workers", type=int, help="accepted, must be >= 1; one array pass, same output for any count")
@@ -147,43 +159,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_pr.add_argument("name", choices=PRESET_NAMES, metavar="NAME", help=", ".join(PRESET_NAMES))
     p_pr.add_argument("--output", help="override the preset output path")
     p_pr.add_argument("--format", choices=FORMATS, help="override the preset format")
-    p_pr.add_argument("--workers", type=int, help="phase-diagram presets: must be >= 1; same output for any count")
+    p_pr.add_argument("--workers", type=int, help="must be >= 1; same output for any count")
     return parser
 
 
-def _coerce_like(default, raw: str):
-    if isinstance(default, bool):
-        return raw.lower() in ("1", "true", "yes")
-    if isinstance(default, int):
-        return int(raw)
-    if isinstance(default, float):
-        return float(raw)
-    if isinstance(default, list):
-        val = json.loads(raw)
-        return val if isinstance(val, list) else [val]
-    return raw
-
-
 def _read_config_file(path: str, command: str) -> dict:
+    """Raw text values of section [command]; :func:`_validate` types them."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise UsageError(f"config file {path!r} not found or unreadable")
-    if not parser.has_section(command):
-        return {}
+    try:
+        if not parser.read(path, encoding="utf-8"):
+            raise UsageError(f"config file {path!r} not found or unreadable")
+        items = parser.items(command) if parser.has_section(command) else []
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise UsageError(f"config file {path!r}: {' '.join(str(exc).split())}") from None
     out = {}
-    defaults = _DEFAULTS[command]
-    for key, raw in parser.items(command):
+    for key, raw in items:
         key = key.replace("-", "_")
-        if key in ("output", "format", "seed", "workers"):
-            out[key] = int(raw) if key in ("seed", "workers") else raw
-            continue
-        if key not in defaults:
+        if key not in _DEFAULTS[command] and key not in _RUN_KEYS:
             raise UsageError(f"unknown key {key!r} in config section [{command}]")
-        try:
-            out[key] = _coerce_like(defaults[key], raw)
-        except (ValueError, json.JSONDecodeError):
-            raise UsageError(f"bad value for {key!r} in config section [{command}]: {raw!r}") from None
+        out[key] = raw
     return out
 
 
@@ -192,34 +186,68 @@ def _require(cond: bool, key: str, message: str) -> None:
         raise UsageError(f"invalid value for {key}: {message}")
 
 
-def _parse_grid(raw) -> list[int]:
-    if isinstance(raw, (list, tuple)) and len(raw) == 2:
-        ng, no = int(raw[0]), int(raw[1])
-    else:
+def _typed(key: str, value, like):
+    """``value`` checked against the type of its default ``like``.  Text for
+    a numeric or list key (a config-file value) is parsed first; a list key
+    takes one number or a non-empty list of numbers.  Bools are not numbers."""
+    if isinstance(like, str):
+        _require(isinstance(value, str), key, f"{value!r} (expected text)")
+        return value
+    is_list = isinstance(like, list)
+    kind = float if is_list else type(like)
+    expected = "a number or a list of numbers" if is_list else {float: "a number", int: "an integer"}[kind]
+    if isinstance(value, str):
         try:
-            ng, no = (int(part) for part in str(raw).lower().split("x"))
-        except ValueError:
-            raise UsageError(f"invalid value for grid: {raw!r} (expected e.g. 400x400)") from None
+            value = json.loads(value, parse_int=float) if is_list else kind(value)
+        except (ValueError, RecursionError):
+            raise UsageError(f"invalid value for {key}: {value!r} (expected {expected})") from None
+    items = value if is_list and isinstance(value, list) else [value]
+    numbers = (int, float) if kind is float else int
+    ok = items and all(isinstance(v, numbers) and not isinstance(v, bool) for v in items)
+    _require(ok, key, f"{value!r} (expected {expected})")
+    items = [kind(v) for v in items]
+    for v in items:
+        _require(math.isfinite(v), key, f"{v} (must be a finite number)")
+    return items if is_list else items[0]
+
+
+def _parse_grid(raw: str) -> list[int]:
+    try:
+        ng, no = (int(part) for part in raw.lower().split("x"))
+    except ValueError:
+        raise UsageError(f"invalid value for grid: {raw!r} (expected e.g. 400x400)") from None
     _require(ng >= 2 and no >= 2, "grid", "both cell counts must be >= 2")
     return [ng, no]
 
 
-def _validate(command: str, params: dict) -> dict:
-    p = dict(params)
-    for key, value in p.items():
-        for v in value if isinstance(value, list) else [value]:
-            _require(not isinstance(v, float) or math.isfinite(v), key, f"{v} (must be a finite number)")
+def _base(command: str) -> dict:
+    return {**_DEFAULTS[command], "output": f"{command}.csv", "format": "csv"}
+
+
+def _validate(command: str, values: dict) -> dict:
+    """Type- and range-check one merged configuration: every flag, config-file
+    and preset value passes through here once."""
+    like = {**_UNSET_LIKE, **_base(command)}
+    p = {key: _typed(key, value, like[key]) for key, value in values.items()}
+    for key, options in _CHOICES.items():
+        if key in p:
+            _require(p[key] in options, key, f"{p[key]!r} (choose from {', '.join(options)})")
+    _require(p["output"] != "", "output", "must not be empty")
+    _require(p.get("workers", 1) >= 1, "workers", f"{p.get('workers')} (must be >= 1)")
     if command in ("phase-diagram", "ep-contour", "floquet-ham", "bloch-traj"):
         _require(0.0 < p["p"] < 1.0, "p", f"{p['p']} (must lie strictly between 0 and 1)")
         _require(p["j_av"] > 0, "j_av", f"{p['j_av']} (must be positive)")
     if command == "phase-diagram":
+        try:
+            resolve_worker_count(p.get("workers"))
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
         p["grid"] = _parse_grid(p["grid"])
         _require(p["gamma_min"] < p["gamma_max"], "gamma_min", "gain axis needs min < max")
         _require(p["omega_min"] < p["omega_max"], "omega_min", "frequency axis needs min < max")
         for axis in ("gamma", "omega"):
             if p[f"{axis}_scale"] == "log":
                 _require(p[f"{axis}_min"] > 0, f"{axis}_min", "log axis needs min > 0")
-        _require(p["quantity"] in {q.value for q in Quantity}, "quantity", repr(p["quantity"]))
     elif command == "ep-contour":
         _require(p["omega_min"] > 0, "omega_min", "must be positive")
         _require(p["omega_max"] > p["omega_min"], "omega_max", "must exceed omega_min")
@@ -240,7 +268,7 @@ def _validate(command: str, params: dict) -> dict:
         _require(p["substeps"] >= 1, "substeps", "must be >= 1")
         if p["init"] != "xyz":
             try:
-                theta, phi = (float(x) for x in str(p["init"]).split(","))
+                theta, phi = (float(x) for x in p["init"].split(","))
             except ValueError:
                 raise UsageError(
                     f"invalid value for init: {p['init']!r} (expected 'xyz' or 'THETA,PHI')"
@@ -250,9 +278,7 @@ def _validate(command: str, params: dict) -> dict:
             p["init"] = [theta, phi]
     elif command == "two-qubit":
         for key in ("gamma", "kx"):
-            vals = p[key] if isinstance(p[key], list) else [p[key]]
-            _require(all(v >= 0 for v in vals), key, "rates must be non-negative")
-            p[key] = [float(v) for v in vals]
+            _require(all(v >= 0 for v in p[key]), key, "rates must be non-negative")
         _require(p["j"] >= 0, "j", "must be non-negative")
         _require(p["t_max"] > 0, "t_max", "must be positive")
         _require(p["steps"] >= 2, "steps", "must be >= 2")
@@ -264,49 +290,28 @@ def _validate(command: str, params: dict) -> dict:
 
 
 def parse_config(argv=None) -> RunConfig:
-    """Build a fully validated run configuration from argv (and an optional
-    config file).  Flags override file values, which override defaults."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
-    if args.command == "preset":
-        config = figure_preset(args.name)
-        if args.output:
-            config.output_path = args.output
-        if args.format:
-            config.format = args.format
-        if args.workers is not None:
-            config.workers = args.workers
-        return config
-
-    command = args.command
-    merged = dict(_DEFAULTS[command])
-    from_file: dict = {}
-    if getattr(args, "config", None):
-        from_file = _read_config_file(args.config, command)
-    merged.update({k: v for k, v in from_file.items() if k in merged})
-    cli_values = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("command", "config", "output", "format", "seed", "workers") and v is not None
-    }
-    merged.update(cli_values)
-    merged = _validate(command, merged)
-
-    output = args.output or from_file.get("output") or _DEFAULT_OUTPUT[command]
-    fmt = args.format or from_file.get("format") or "csv"
-    seed = args.seed if args.seed is not None else from_file.get("seed")
-    workers = getattr(args, "workers", None)
-    if workers is None:
-        workers = from_file.get("workers")
-    if workers is not None:
-        _require(workers >= 1, "workers", f"{workers} (must be >= 1)")
-    try:
-        return RunConfig(
-            command=command, parameters=merged, output_path=output, format=fmt, seed=seed, workers=workers
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    """Build a fully validated run configuration from argv.  Layers, each
+    overriding the one before: the command defaults, a preset's overrides,
+    the ``--config`` file section, the flags.  The merged values, run keys
+    included, pass :func:`_validate` once."""
+    flags = {k: v for k, v in vars(build_parser().parse_args(argv)).items() if v is not None}
+    command = flags.pop("command")
+    merged = {}
+    if command == "preset":
+        name = flags.pop("name")
+        command, overrides = PRESETS[name]
+        merged = {"output": f"{name}.csv", **overrides}
+    if "config" in flags:
+        merged.update(_read_config_file(flags.pop("config"), command))
+    p = _validate(command, {**_base(command), **merged, **flags})
+    return RunConfig(
+        command=command,
+        parameters={k: v for k, v in p.items() if k not in _RUN_KEYS},
+        output_path=p["output"],
+        format=p["format"],
+        seed=p.get("seed"),
+        workers=p.get("workers"),
+    )
 
 
 def _run_phase_diagram(cfg: RunConfig) -> list[Column]:

@@ -3,7 +3,9 @@
 Everything in this package works on 2x2 and 4x4 complex matrices, so we can
 afford closed forms wherever they exist: Pauli decompositions, the 2x2 matrix
 exponential and logarithm, and trace/determinant eigensolutions.  The 4x4
-paths delegate to scipy/numpy dense routines.
+paths delegate to numpy dense routines, apart from the 4x4 exponential,
+which imports ``scipy.linalg`` on first use so that importing the package
+does not pay for scipy.
 
 All functions are pure and operate on immutable inputs; callers may share
 results freely between threads.
@@ -16,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "PAULI_X",
@@ -149,6 +150,8 @@ def expm(m) -> np.ndarray:
     a = _as_matrix(m)
     _require_finite(a)
     if a.shape[0] == 4:
+        import scipy.linalg
+
         return scipy.linalg.expm(a)
     dec = pauli_decompose(a)
     r = dec.vector_norm

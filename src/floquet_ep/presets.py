@@ -1,89 +1,41 @@
 """Named run presets that reproduce the reference figure panels.
 
-Each preset is a complete :class:`~floquet_ep.envelope.RunConfig`; executing
-it emits the data table behind the named panel.  Output path and format can
-be overridden on the command line.
+Each preset names a command and the parameters in which its panel differs
+from that command's defaults.  :func:`figure_preset` resolves it through the
+same path as the command line, writing ``<name>.csv`` unless the output path
+or format is overridden there.
 """
 
 from __future__ import annotations
 
-import math
-
 from .envelope import RunConfig
 
-__all__ = ["figure_preset", "PRESET_NAMES"]
+__all__ = ["figure_preset", "PRESETS", "PRESET_NAMES"]
 
+_FIG3CD = {"gamma": [0.75, 1.0, 1.25], "t_max": 25.0, "steps": 1000}
+_FIG3EF = {"j": 1.0, "gamma": [1.5], "kx": [0.0, 1.5, 1.6], "t_max": 40.0, "steps": 1200}
 
-def _fig1b() -> RunConfig:
-    return RunConfig(
-        command="phase-diagram",
-        parameters={
-            "p": 0.5,
-            "j_av": 1.0,
-            "grid": [400, 400],
-            "gamma_min": 1e-2,
-            "gamma_max": 10.0,
-            "gamma_scale": "log",
-            "omega_min": 0.1,
-            "omega_max": 3.0,
-            "omega_scale": "linear",
-            "quantity": "inner-product",
-        },
-        output_path="fig1b.csv",
-    )
-
-
-def _fig1c() -> RunConfig:
+#: name -> (command, parameter overrides)
+PRESETS = {
+    "fig1b": ("phase-diagram", {}),
     # frequency window covering the first five resonances and their nodes
-    return RunConfig(
-        command="ep-contour",
-        parameters={"p": 0.5, "j_av": 1.0, "omega_min": 0.18, "omega_max": 2.2, "samples": 4000},
-        output_path="fig1c.csv",
-    )
-
-
-def _bloch(gamma_ratio: float, periods: int, name: str) -> RunConfig:
-    return RunConfig(
-        command="bloch-traj",
-        parameters={
-            "p": 0.5,
-            "j_av": 1.0,
-            "gamma_ratio": gamma_ratio,
-            "omega_ratio": 2.5 * math.pi,
-            "periods": periods,
-            "substeps": 64,
-            "init": "xyz",
-        },
-        output_path=f"{name}.csv",
-    )
-
-
-def _pair(init: str, j: float, gammas: list, kxs: list, t_max: float, steps: int, name: str) -> RunConfig:
-    return RunConfig(
-        command="two-qubit",
-        parameters={"j": j, "gamma": gammas, "kx": kxs, "init": init, "t_max": t_max, "steps": steps},
-        output_path=f"{name}.csv",
-    )
-
-
-_PRESETS = {
-    "fig1b": _fig1b,
-    "fig1c": _fig1c,
-    "fig2a": lambda: _bloch(1.0, 20, "fig2a"),
-    "fig2b": lambda: _bloch(1.25, 200, "fig2b"),
-    "fig3c": lambda: _pair("00", 0.5, [0.75, 1.0, 1.25], [1.0], 25.0, 1000, "fig3c"),
-    "fig3d": lambda: _pair("bell", 0.5, [0.75, 1.0, 1.25], [1.0], 25.0, 1000, "fig3d"),
-    "fig3e": lambda: _pair("mixed", 1.0, [1.5], [0.0, 1.5, 1.6], 40.0, 1200, "fig3e"),
-    "fig3f": lambda: _pair("correlated", 1.0, [1.5], [0.0, 1.5, 1.6], 40.0, 1200, "fig3f"),
+    "fig1c": ("ep-contour", {"samples": 4000}),
+    "fig2a": ("bloch-traj", {}),
+    "fig2b": ("bloch-traj", {"gamma_ratio": 1.25, "periods": 200}),
+    "fig3c": ("two-qubit", _FIG3CD),
+    "fig3d": ("two-qubit", {**_FIG3CD, "init": "bell"}),
+    "fig3e": ("two-qubit", {**_FIG3EF, "init": "mixed"}),
+    "fig3f": ("two-qubit", {**_FIG3EF, "init": "correlated"}),
 }
 
-PRESET_NAMES = tuple(sorted(_PRESETS))
+PRESET_NAMES = tuple(sorted(PRESETS))
 
 
 def figure_preset(name: str) -> RunConfig:
-    """Run configuration for a named figure panel; unknown names raise
-    ValueError (the CLI turns that into a usage error)."""
-    try:
-        return _PRESETS[name]()
-    except KeyError:
-        raise ValueError(f"unknown preset {name!r}; choose from {', '.join(PRESET_NAMES)}") from None
+    """Fully resolved run configuration for a named figure panel; unknown
+    names raise ValueError (the CLI turns that into a usage error)."""
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r}; choose from {', '.join(PRESET_NAMES)}")
+    from .cli import parse_config  # deferred: cli imports this module
+
+    return parse_config(["preset", name])

@@ -110,13 +110,19 @@ class HeatMap:
 
 def resolve_worker_count(requested: int | None = None) -> int:
     """Effective worker count: the request (default 1), capped by the
-    ``FLOQUET_EP_THREADS`` environment variable (0 there means all cores)."""
+    ``FLOQUET_EP_THREADS`` environment variable (0 there means all cores),
+    which must be a non-negative integer."""
     n = 1 if requested is None else int(requested)
     if n < 1:
         raise ValueError("worker count must be >= 1")
     cap_env = os.environ.get(WORKER_ENV_VAR)
     if cap_env is not None:
-        cap = int(cap_env)
+        try:
+            cap = int(cap_env)
+        except ValueError:
+            cap = -1
+        if cap < 0:
+            raise ValueError(f"{WORKER_ENV_VAR} must be a non-negative integer, got {cap_env!r}")
         if cap == 0:
             cap = os.cpu_count() or 1
         n = min(n, max(1, cap))

@@ -6,8 +6,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from floquet_ep.cli import UsageError, main, parse_config, run
+from floquet_ep.cli import _DEFAULTS, _RUN_KEYS, UsageError, main, parse_config, run
 from floquet_ep.envelope import (
     Column,
     ResultEnvelope,
@@ -82,12 +84,85 @@ class TestParseConfig:
         cfg = parse_config(["two-qubit", "--seed", "7"])
         assert cfg.seed == 7
 
+    def test_config_file_run_keys(self, tmp_path):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[two-qubit]\nseed = 7\nworkers = 2\nformat = json\noutput = pair.json\n")
+        cfg = parse_config(["two-qubit", "--config", str(ini), "--format", "csv"])
+        assert (cfg.seed, cfg.workers, cfg.format, cfg.output_path) == (7, 2, "csv", "pair.json")
+        assert "seed" not in cfg.parameters and "workers" not in cfg.parameters
+
+    @pytest.mark.parametrize(
+        "argv,ini,env,fragment",
+        [
+            (["preset", "fig1b", "--workers", "0"], None, None, "workers"),
+            (["preset", "fig1c", "--workers", "0"], None, None, "workers"),
+            (["two-qubit"], '[two-qubit]\ngamma = [1, "a"]\n', None, "gamma"),
+            (["two-qubit"], '[two-qubit]\ngamma = {"a": 1}\n', None, "gamma"),
+            (["two-qubit"], "[two-qubit]\ngamma = [[1]]\n", None, "gamma"),
+            (["two-qubit"], "[two-qubit]\ngamma = true\n", None, "gamma"),
+            (["two-qubit"], "[two-qubit]\ngamma = []\n", None, "gamma"),
+            (["two-qubit"], "[two-qubit]\nseed = 1.5\n", None, "seed"),
+            (["two-qubit"], "[two-qubit]\nworkers = x\n", None, "workers"),
+            (["two-qubit"], "gamma = 1.0\n", None, "run.ini"),
+            (["two-qubit"], "[two-qubit]\nj = 0.5\nj = 0.7\n", None, "run.ini"),
+            (["two-qubit"], "[two-qubit]\nj = 0.5\n[two-qubit]\nsteps = 3\n", None, "run.ini"),
+            (["phase-diagram", "--grid", "3x3"], "[phase-diagram]\ngamma_scale = cubic\n", None, "gamma_scale"),
+            (["phase-diagram", "--grid", "3x3"], None, "abc", "FLOQUET_EP_THREADS"),
+            (["phase-diagram", "--grid", "3x3"], None, "-3", "FLOQUET_EP_THREADS"),
+        ],
+    )
+    def test_bad_input_is_usage_error(self, argv, ini, env, fragment, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "out.csv"
+        extra = ["--output", str(out)]
+        if ini is not None:
+            (tmp_path / "run.ini").write_text(ini)
+            extra += ["--config", str(tmp_path / "run.ini")]
+        if env is None:
+            monkeypatch.delenv("FLOQUET_EP_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("FLOQUET_EP_THREADS", env)
+        assert main(argv + extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert fragment in err
+        assert not out.exists()
+
+    def test_empty_output_is_usage_error(self, capsys):
+        assert main(["floquet-ham", "--output", ""]) == 2
+        assert "output" in capsys.readouterr().err
+
+
+_TEXT = st.one_of(
+    st.text(max_size=30),
+    st.floats().map(repr),
+    st.integers(-5, 5000).map(str),
+    st.lists(st.floats(), max_size=3).map(json.dumps),
+)
+
+
+@pytest.mark.parametrize(
+    "command,key", [(c, k) for c, defaults in _DEFAULTS.items() for k in (*defaults, *_RUN_KEYS)]
+)
+@settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_TEXT)
+def test_any_config_file_value_parses_or_is_a_usage_error(command, key, text, tmp_path, monkeypatch):
+    monkeypatch.delenv("FLOQUET_EP_THREADS", raising=False)
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[{command}]\n{key} = {text}\n", encoding="utf-8")
+    try:
+        cfg = parse_config([command, "--config", str(ini)])
+    except UsageError:
+        return
+    assert isinstance(cfg, RunConfig)
+
 
 class TestPresets:
     def test_all_presets_build(self):
         for name in PRESET_NAMES:
             cfg = figure_preset(name)
             assert cfg.command in ("phase-diagram", "ep-contour", "bloch-traj", "two-qubit")
+            assert set(cfg.parameters) == set(_DEFAULTS[cfg.command])
+            assert (cfg.output_path, cfg.format, cfg.seed, cfg.workers) == (f"{name}.csv", "csv", None, None)
 
     def test_unknown_preset_raises(self):
         with pytest.raises(ValueError):
@@ -360,3 +435,9 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 2
         assert "steps" in proc.stderr
+
+    def test_cli_import_leaves_scipy_linalg_unloaded(self):
+        code = "import sys, floquet_ep.cli; print('scipy.linalg' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == "False"
