@@ -25,7 +25,7 @@ from .floquet import (
     floquet_hamiltonian,
     floquet_hamiltonian_on_contour,
 )
-from .linalg import NearDefectiveError, NumericsError
+from .linalg import NumericsError
 from .presets import PRESET_NAMES, PRESETS
 from .sweep import AxisSpec, GridSpec, Quantity, compute_heatmap, resolve_worker_count, trace_contours
 from .two_qubit import TwoQubitParams, density_from_label, entanglement_timeseries
@@ -79,8 +79,14 @@ _CHOICES = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one usage-error line, not argparse's usage block
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """Flags hold raw text; :func:`_validate` types and checks every value."""
+    parser = _Parser(
         prog="floquet-ep",
         description="Desk-scale simulations of alternating unitary/thermal qubit dynamics: "
         "PT phase diagrams, exceptional-point contours, effective one-period generators, "
@@ -88,57 +94,60 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
+    def one_of(key):
+        return "{%s}" % ",".join(_CHOICES[key])
+
+    def rates(p_):
+        p_.add_argument("--p", help="unitary fraction of the period (default 0.5)")
+        p_.add_argument("--j-av", help="average Rabi rate (default 1.0)")
+
     def common(p_, command):
         p_.add_argument("--config", help="INI config file; section [%s] supplies defaults" % command)
         p_.add_argument("--output", help=f"output file (default {command}.csv)")
-        p_.add_argument("--format", choices=FORMATS, help="output format (default csv)")
-        p_.add_argument("--seed", type=int, help="echoed into the output envelope; physics is deterministic")
+        p_.add_argument("--format", metavar=one_of("format"), help="output format (default csv)")
+        p_.add_argument("--seed", help="echoed into the output envelope; physics is deterministic")
 
     p_pd = sub.add_parser(
         "phase-diagram",
         help="heat map of a PT-phase quantity over the dimensionless (gain, frequency) plane",
     )
-    p_pd.add_argument("--p", type=float, help="unitary fraction of the period (default 0.5)")
-    p_pd.add_argument("--j-av", type=float, help="average Rabi rate (default 1.0)")
+    rates(p_pd)
     p_pd.add_argument("--grid", help="cells as GAMMAxOMEGA, e.g. 400x400 (default)")
-    p_pd.add_argument("--gamma-min", type=float, help="gain axis low end, (1-p)*gamma/(p*j_av) units (default 0.01)")
-    p_pd.add_argument("--gamma-max", type=float, help="gain axis high end (default 10)")
-    p_pd.add_argument("--gamma-scale", choices=_CHOICES["gamma_scale"], help="gain axis spacing (default log)")
-    p_pd.add_argument("--omega-min", type=float, help="frequency axis low end, omega/(p*j_av) units (default 0.1)")
-    p_pd.add_argument("--omega-max", type=float, help="frequency axis high end (default 3)")
-    p_pd.add_argument("--omega-scale", choices=_CHOICES["omega_scale"], help="frequency axis spacing (default linear)")
+    p_pd.add_argument("--gamma-min", help="gain axis low end, (1-p)*gamma/(p*j_av) units (default 0.01)")
+    p_pd.add_argument("--gamma-max", help="gain axis high end (default 10)")
+    p_pd.add_argument("--gamma-scale", metavar=one_of("gamma_scale"), help="gain axis spacing (default log)")
+    p_pd.add_argument("--omega-min", help="frequency axis low end, omega/(p*j_av) units (default 0.1)")
+    p_pd.add_argument("--omega-max", help="frequency axis high end (default 3)")
+    p_pd.add_argument("--omega-scale", metavar=one_of("omega_scale"), help="frequency axis spacing (default linear)")
     p_pd.add_argument(
         "--quantity",
-        choices=_CHOICES["quantity"],
+        metavar=one_of("quantity"),
         help="cell quantity: eigenvector inner product, phase discriminant, or phase code (default inner-product)",
     )
-    p_pd.add_argument("--workers", type=int, help="accepted, must be >= 1; one array pass, same output for any count")
+    p_pd.add_argument("--workers", help="accepted, must be >= 1; one array pass, same output for any count")
     common(p_pd, "phase-diagram")
 
     p_ec = sub.add_parser("ep-contour", help="exceptional-point contour polylines over a frequency window")
-    p_ec.add_argument("--p", type=float, help="unitary fraction of the period (default 0.5)")
-    p_ec.add_argument("--j-av", type=float, help="average Rabi rate (default 1.0)")
-    p_ec.add_argument("--omega-min", type=float, help="window low end, raw drive frequency (default 0.18)")
-    p_ec.add_argument("--omega-max", type=float, help="window high end (default 2.2)")
-    p_ec.add_argument("--samples", type=int, help="frequency samples (default 2000)")
+    rates(p_ec)
+    p_ec.add_argument("--omega-min", help="window low end, raw drive frequency (default 0.18)")
+    p_ec.add_argument("--omega-max", help="window high end (default 2.2)")
+    p_ec.add_argument("--samples", help="frequency samples (default 2000)")
     common(p_ec, "ep-contour")
 
     p_fh = sub.add_parser("floquet-ham", help="effective one-period generator components")
-    p_fh.add_argument("--p", type=float, help="unitary fraction of the period (default 0.5)")
-    p_fh.add_argument("--j-av", type=float, help="average Rabi rate (default 1.0)")
-    p_fh.add_argument("--gamma-av", type=float, help="average gain/loss rate (default 0.4)")
-    p_fh.add_argument("--omega", type=float, help="drive frequency, or sweep start with --omega-count > 1 (default 2.0)")
-    p_fh.add_argument("--omega-max", type=float, help="sweep end frequency (required when --omega-count > 1)")
-    p_fh.add_argument("--omega-count", type=int, help="number of frequencies (default 1)")
+    rates(p_fh)
+    p_fh.add_argument("--gamma-av", help="average gain/loss rate (default 0.4)")
+    p_fh.add_argument("--omega", help="drive frequency, or sweep start with --omega-count > 1 (default 2.0)")
+    p_fh.add_argument("--omega-max", help="sweep end frequency (required when --omega-count > 1)")
+    p_fh.add_argument("--omega-count", help="number of frequencies (default 1)")
     common(p_fh, "floquet-ham")
 
     p_bt = sub.add_parser("bloch-traj", help="post-selected Bloch trajectory with micromotion sampling")
-    p_bt.add_argument("--p", type=float, help="unitary fraction of the period (default 0.5)")
-    p_bt.add_argument("--j-av", type=float, help="average Rabi rate (default 1.0)")
-    p_bt.add_argument("--gamma-ratio", type=float, help="(1-p)*gamma/(p*j_av) (default 1.0)")
-    p_bt.add_argument("--omega-ratio", type=float, help="omega/(p*j_av) (default 2.5*pi)")
-    p_bt.add_argument("--periods", type=int, help="number of drive periods (default 20)")
-    p_bt.add_argument("--substeps", type=int, help="samples per segment (default 64)")
+    rates(p_bt)
+    p_bt.add_argument("--gamma-ratio", help="(1-p)*gamma/(p*j_av) (default 1.0)")
+    p_bt.add_argument("--omega-ratio", help="omega/(p*j_av) (default 2.5*pi)")
+    p_bt.add_argument("--periods", help="number of drive periods (default 20)")
+    p_bt.add_argument("--substeps", help="samples per segment (default 64)")
     p_bt.add_argument(
         "--init",
         help="initial state: 'xyz' (equal superposition of +x, -y, +z eigenstates, default) "
@@ -147,25 +156,26 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_bt, "bloch-traj")
 
     p_tq = sub.add_parser("two-qubit", help="coupled thermal-unitary pair: concurrence and entropies over time")
-    p_tq.add_argument("--j", type=float, help="Rabi rate of the unitary qubit (default 0.5)")
-    p_tq.add_argument("--gamma", type=float, action="append", help="gain rate; repeatable (default 1.0)")
-    p_tq.add_argument("--kx", type=float, action="append", help="coupling strength; repeatable (default 1.0)")
+    p_tq.add_argument("--j", help="Rabi rate of the unitary qubit (default 0.5)")
+    p_tq.add_argument("--gamma", action="append", help="gain rate; repeatable (default 1.0)")
+    p_tq.add_argument("--kx", action="append", help="coupling strength; repeatable (default 1.0)")
     p_tq.add_argument("--init", help="initial state label: 00, bell, mixed, correlated (default 00)")
-    p_tq.add_argument("--t-max", type=float, help="final time, raw units (reported as j*t; default 20)")
-    p_tq.add_argument("--steps", type=int, help="time steps (default 400)")
+    p_tq.add_argument("--t-max", help="final time, raw units (reported as j*t; default 20)")
+    p_tq.add_argument("--steps", help="time steps (default 400)")
     common(p_tq, "two-qubit")
 
     p_pr = sub.add_parser("preset", help="run a named figure-panel preset")
     p_pr.add_argument("name", choices=PRESET_NAMES, metavar="NAME", help=", ".join(PRESET_NAMES))
     p_pr.add_argument("--output", help="override the preset output path")
-    p_pr.add_argument("--format", choices=FORMATS, help="override the preset format")
-    p_pr.add_argument("--workers", type=int, help="must be >= 1; same output for any count")
+    p_pr.add_argument("--format", metavar=one_of("format"), help="override the preset format")
+    p_pr.add_argument("--workers", help="must be >= 1; same output for any count")
     return parser
 
 
-def _read_config_file(path: str, command: str) -> dict:
-    """Raw text values of section [command]; :func:`_validate` types them."""
-    parser = configparser.ConfigParser()
+def _read_config_file(path: str, command: str, keys: set[str]) -> dict:
+    """Raw text values of section [command], each named in ``keys``;
+    :func:`_validate` types them.  ``%`` is a literal character."""
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         if not parser.read(path, encoding="utf-8"):
             raise UsageError(f"config file {path!r} not found or unreadable")
@@ -175,7 +185,7 @@ def _read_config_file(path: str, command: str) -> dict:
     out = {}
     for key, raw in items:
         key = key.replace("-", "_")
-        if key not in _DEFAULTS[command] and key not in _RUN_KEYS:
+        if key not in keys:
             raise UsageError(f"unknown key {key!r} in config section [{command}]")
         out[key] = raw
     return out
@@ -187,9 +197,9 @@ def _require(cond: bool, key: str, message: str) -> None:
 
 
 def _typed(key: str, value, like):
-    """``value`` checked against the type of its default ``like``.  Text for
-    a numeric or list key (a config-file value) is parsed first; a list key
-    takes one number or a non-empty list of numbers.  Bools are not numbers."""
+    """``value`` checked against the type of its default ``like``; text is
+    parsed first.  A list key takes one number or a non-empty list of numbers:
+    a JSON list in a file, one text per repeated flag.  Bools are not numbers."""
     if isinstance(like, str):
         _require(isinstance(value, str), key, f"{value!r} (expected text)")
         return value
@@ -201,6 +211,8 @@ def _typed(key: str, value, like):
             value = json.loads(value, parse_int=float) if is_list else kind(value)
         except (ValueError, RecursionError):
             raise UsageError(f"invalid value for {key}: {value!r} (expected {expected})") from None
+    elif is_list and isinstance(value, list):
+        value = [_typed(key, v, 0.0) for v in value]
     items = value if is_list and isinstance(value, list) else [value]
     numbers = (int, float) if kind is float else int
     ok = items and all(isinstance(v, numbers) and not isinstance(v, bool) for v in items)
@@ -209,15 +221,6 @@ def _typed(key: str, value, like):
     for v in items:
         _require(math.isfinite(v), key, f"{v} (must be a finite number)")
     return items if is_list else items[0]
-
-
-def _parse_grid(raw: str) -> list[int]:
-    try:
-        ng, no = (int(part) for part in raw.lower().split("x"))
-    except ValueError:
-        raise UsageError(f"invalid value for grid: {raw!r} (expected e.g. 400x400)") from None
-    _require(ng >= 2 and no >= 2, "grid", "both cell counts must be >= 2")
-    return [ng, no]
 
 
 def _base(command: str) -> dict:
@@ -242,7 +245,10 @@ def _validate(command: str, values: dict) -> dict:
             resolve_worker_count(p.get("workers"))
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-        p["grid"] = _parse_grid(p["grid"])
+        cells = p["grid"].lower().split("x")
+        _require(len(cells) == 2 and all(cells), "grid", f"{p['grid']!r} (expected e.g. 400x400)")
+        p["grid"] = [_typed("grid", n, 0) for n in cells]
+        _require(min(p["grid"]) >= 2, "grid", "both cell counts must be >= 2")
         _require(p["gamma_min"] < p["gamma_max"], "gamma_min", "gain axis needs min < max")
         _require(p["omega_min"] < p["omega_max"], "omega_min", "frequency axis needs min < max")
         for axis in ("gamma", "omega"):
@@ -267,15 +273,10 @@ def _validate(command: str, values: dict) -> dict:
         _require(p["periods"] >= 1, "periods", "must be >= 1")
         _require(p["substeps"] >= 1, "substeps", "must be >= 1")
         if p["init"] != "xyz":
-            try:
-                theta, phi = (float(x) for x in p["init"].split(","))
-            except ValueError:
-                raise UsageError(
-                    f"invalid value for init: {p['init']!r} (expected 'xyz' or 'THETA,PHI')"
-                ) from None
-            _require(0 <= theta <= math.pi, "init", "theta must lie in [0, pi]")
-            _require(math.isfinite(phi), "init", f"phi {phi} (must be a finite number)")
-            p["init"] = [theta, phi]
+            angles = p["init"].split(",")
+            _require(len(angles) == 2, "init", f"{p['init']!r} (expected 'xyz' or 'THETA,PHI')")
+            p["init"] = [_typed("init", x, 0.0) for x in angles]
+            _require(0 <= p["init"][0] <= math.pi, "init", "theta must lie in [0, pi]")
     elif command == "two-qubit":
         for key in ("gamma", "kx"):
             _require(all(v >= 0 for v in p[key]), key, "rates must be non-negative")
@@ -292,17 +293,18 @@ def _validate(command: str, values: dict) -> dict:
 def parse_config(argv=None) -> RunConfig:
     """Build a fully validated run configuration from argv.  Layers, each
     overriding the one before: the command defaults, a preset's overrides,
-    the ``--config`` file section, the flags.  The merged values, run keys
-    included, pass :func:`_validate` once."""
-    flags = {k: v for k, v in vars(build_parser().parse_args(argv)).items() if v is not None}
-    command = flags.pop("command")
+    the ``--config`` file section (keyed like the command's flags), the flags.
+    The merged values, run keys included, pass :func:`_validate` once."""
+    args = vars(build_parser().parse_args(argv))
+    command, config = args.pop("command"), args.pop("config", None)
+    flags = {k: v for k, v in args.items() if v is not None}
     merged = {}
     if command == "preset":
         name = flags.pop("name")
         command, overrides = PRESETS[name]
         merged = {"output": f"{name}.csv", **overrides}
-    if "config" in flags:
-        merged.update(_read_config_file(flags.pop("config"), command))
+    if config is not None:
+        merged.update(_read_config_file(config, command, {*args, *_RUN_KEYS}))
     p = _validate(command, {**_base(command), **merged, **flags})
     return RunConfig(
         command=command,
@@ -360,12 +362,9 @@ def _run_floquet_ham(cfg: RunConfig) -> list[Column]:
     cols = {name: [] for name in names}
     for omega in omegas:
         params = FloquetParams.from_omega(p["p"], float(omega), p["j_av"], p["gamma_av"])
-        try:
-            ham = floquet_hamiltonian(params)
-        except NearDefectiveError:
-            if abs(discriminant(params)) > 1e-8:
-                raise
-            ham = floquet_hamiltonian_on_contour(params)
+        # at an EP the matrix log can pass its condition test and still be wrong
+        on_contour = abs(discriminant(params)) <= 1e-8
+        ham = (floquet_hamiltonian_on_contour if on_contour else floquet_hamiltonian)(params)
         cols["omega"].append(float(omega))
         for name, value in (("h0", ham.h0), ("hx", ham.hx), ("hy", ham.hy), ("hz", ham.hz)):
             cols[f"{name}_re"].append(value.real)
@@ -437,7 +436,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SystemExit as exc:  # argparse --help (0) or flag errors (2)
+    except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
     try:
         envelope = run(config)

@@ -388,9 +388,9 @@ def floquet_hamiltonian(params: FloquetParams) -> FloquetHamiltonian:
     """Effective static generator of the one-period map, off contour.
 
     Computed through the principal matrix logarithm with quasienergy real
-    parts folded into ``(-omega/2, omega/2]``.  Raises
-    :class:`~floquet_ep.linalg.NearDefectiveError` close to an exceptional
-    contour; use :func:`floquet_hamiltonian_on_contour` there.
+    parts folded into ``(-omega/2, omega/2]``.  Near an exceptional contour it
+    raises :class:`~floquet_ep.linalg.NearDefectiveError`, but not at every
+    point on it: where ``|discriminant| <= 1e-8`` use :func:`floquet_hamiltonian_on_contour`.
     """
     gf, _ = floquet_operator(params)
     dec = logm_2x2(gf, params.T)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from floquet_ep.cli import _DEFAULTS, _RUN_KEYS, UsageError, main, parse_config, run
+from floquet_ep.cli import _CHOICES, _DEFAULTS, _RUN_KEYS, UsageError, build_parser, main, parse_config, run
 from floquet_ep.envelope import (
     Column,
     ResultEnvelope,
@@ -20,7 +20,13 @@ from floquet_ep.envelope import (
     render_json,
     write_result,
 )
+from floquet_ep.floquet import FloquetParams, floquet_hamiltonian_on_contour
 from floquet_ep.presets import PRESET_NAMES, figure_preset
+
+#: Keys of each command's flags (``--config`` aside), in ``--help`` order.
+_FLAG_KEYS = {
+    c: [k for k in vars(build_parser().parse_args([c])) if k not in ("command", "config")] for c in _DEFAULTS
+}
 
 
 class TestParseConfig:
@@ -109,6 +115,16 @@ class TestParseConfig:
             (["phase-diagram", "--grid", "3x3"], "[phase-diagram]\ngamma_scale = cubic\n", None, "gamma_scale"),
             (["phase-diagram", "--grid", "3x3"], None, "abc", "FLOQUET_EP_THREADS"),
             (["phase-diagram", "--grid", "3x3"], None, "-3", "FLOQUET_EP_THREADS"),
+            (["two-qubit", "--steps", "abc"], None, None, "steps"),
+            (["phase-diagram", "--quantity", "foo"], None, None, "quantity"),
+            (["two-qubit", "--gamma", "1", "--gamma", "x"], None, None, "gamma"),
+            (["two-qubit", "--nope", "1"], None, None, "--nope"),
+            (["preset", "fig9"], None, None, "fig9"),
+            (["preset"], None, None, "NAME"),
+            ([], None, None, "COMMAND"),
+            (["bloch-traj"], "[bloch-traj]\nomega_max = 3\n", None, "omega_max"),
+            (["bloch-traj"], "[bloch-traj]\ninit = 1.0,x\n", None, "init"),
+            (["phase-diagram"], "[phase-diagram]\ngrid = 3x3x3\n", None, "grid"),
         ],
     )
     def test_bad_input_is_usage_error(self, argv, ini, env, fragment, tmp_path, capsys, monkeypatch):
@@ -131,6 +147,32 @@ class TestParseConfig:
         assert main(["floquet-ham", "--output", ""]) == 2
         assert "output" in capsys.readouterr().err
 
+    def test_config_file_percent_is_literal(self, tmp_path):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[two-qubit]\noutput = 50%.csv\ninit = 100%%\n")
+        with pytest.raises(UsageError, match="100%%"):
+            parse_config(["two-qubit", "--config", str(ini)])
+        ini.write_text("[two-qubit]\noutput = 50%.csv\n")
+        assert parse_config(["two-qubit", "--config", str(ini)]).output_path == "50%.csv"
+
+    def test_floquet_ham_sweep_end_from_config_file(self, tmp_path):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[floquet-ham]\nomega_count = 5\nomega_max = 3\n")
+        cfg = parse_config(["floquet-ham", "--config", str(ini)])
+        assert (cfg.parameters["omega_count"], cfg.parameters["omega_max"]) == (5, 3.0)
+
+    @pytest.mark.parametrize("command", sorted(_DEFAULTS))
+    def test_help_names_every_flag_and_choice(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        for key in _FLAG_KEYS[command]:
+            assert "--" + key.replace("_", "-") in text
+        for key, options in _CHOICES.items():
+            if key in _FLAG_KEYS[command]:
+                assert "{%s}" % ",".join(options) in text
+
 
 _TEXT = st.one_of(
     st.text(max_size=30),
@@ -141,7 +183,7 @@ _TEXT = st.one_of(
 
 
 @pytest.mark.parametrize(
-    "command,key", [(c, k) for c, defaults in _DEFAULTS.items() for k in (*defaults, *_RUN_KEYS)]
+    "command,key", [(c, k) for c, keys in _FLAG_KEYS.items() for k in dict.fromkeys((*keys, *_RUN_KEYS))]
 )
 @settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=_TEXT)
@@ -154,6 +196,28 @@ def test_any_config_file_value_parses_or_is_a_usage_error(command, key, text, tm
     except UsageError:
         return
     assert isinstance(cfg, RunConfig)
+
+
+def _parse_or_usage_error(argv):
+    try:
+        return parse_config(argv)
+    except UsageError:
+        return UsageError
+
+
+@pytest.mark.parametrize(
+    "command,key",
+    [(c, k) for c, keys in _FLAG_KEYS.items() for k in keys if not isinstance(_DEFAULTS[c].get(k), list)],
+)
+@settings(max_examples=4, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_TEXT.filter(lambda t: t == t.strip() and "\n" not in t and "\r" not in t))
+def test_flag_and_config_file_values_obey_the_same_rules(command, key, text, tmp_path, monkeypatch):
+    # a config file strips a value and ends it at a line break; a flag keeps the text as given
+    monkeypatch.delenv("FLOQUET_EP_THREADS", raising=False)
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[{command}]\n{key} = {text}\n", encoding="utf-8")
+    from_flag = _parse_or_usage_error([command, f"--{key.replace('_', '-')}={text}"])
+    assert from_flag == _parse_or_usage_error([command, "--config", str(ini)])
 
 
 class TestPresets:
@@ -328,9 +392,21 @@ class TestRunners:
         assert cols[headers.index("hy_im [1/time]")][0] == pytest.approx(0.0, abs=1e-12)
         assert cols[headers.index("on_contour [flag]")][0] == 0.0
 
+    def test_floquet_ham_exact_ep_takes_the_closed_form(self, tmp_path):
+        # an exact EP where the matrix log passes its condition test yet is wrong
+        omega, gamma = 1.0029949874686717, 0.00299503139708575
+        out = tmp_path / "fh.csv"
+        assert main(["floquet-ham", "--omega", repr(omega), "--gamma-av", repr(gamma), "--output", str(out)]) == 0
+        headers, cols = parse_csv(out.read_text())
+        row = {h.split(" ")[0]: col[0] for h, col in zip(headers, cols)}
+        closed = floquet_hamiltonian_on_contour(FloquetParams.from_omega(0.5, omega, 1.0, gamma))
+        assert row["on_contour"] == 1.0
+        assert row["hx_re"] == closed.hx.real
+        T = 2 * math.pi / omega
+        assert row["hx_re"] == pytest.approx(math.tan(0.5 * T) / T, rel=1e-9)
+
     def test_floquet_ham_contour_fallback(self, tmp_path):
-        # drive area pi/2 with the matching contour gain: the matrix-log path
-        # refuses and the closed form takes over
+        # a point on the contour: the row comes from the on-contour closed form
         import floquet_ep.floquet as fl
 
         base = fl.FloquetParams(p=0.5, T=1.0, j_av=math.pi, gamma_av=0.0)
