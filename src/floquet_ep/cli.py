@@ -295,6 +295,9 @@ def parse_config(argv=None) -> RunConfig:
     overriding the one before: the command defaults, a preset's overrides,
     the ``--config`` file section (keyed like the command's flags), the flags.
     The merged values, run keys included, pass :func:`_validate` once."""
+    flag = next(iter(sys.argv[1:] if argv is None else argv), "").split("=")[0]
+    if flag.startswith("-") and not any(h.startswith(flag) for h in ("-h", "--help")):
+        raise UsageError(f"option {flag} must follow the command: floquet-ep COMMAND {flag} ...")
     args = vars(build_parser().parse_args(argv))
     command, config = args.pop("command"), args.pop("config", None)
     flags = {k: v for k, v in args.items() if v is not None}

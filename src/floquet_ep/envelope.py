@@ -12,6 +12,7 @@ output files.
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 from dataclasses import dataclass, field
@@ -126,46 +127,82 @@ def make_envelope(config: RunConfig, columns: list[Column]) -> ResultEnvelope:
     )
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+#: Rows per block: enough to amortize the per-block calls, and few enough to keep a block small.
+_BLOCK_ROWS = 1024
+
+_MEMO_TYPES = ({float}, {int}, {bool}, {str}, {type(None)})
+
+
+def _csv_value(value) -> str:
+    return format(value, ".17g") if isinstance(value, float) else str(value)
+
+
+def _json_value(value) -> str:
+    """One ``values`` item as ``json.dumps(doc, indent=2)`` writes it."""
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    return json.dumps(value, indent=2).replace("\n", "\n        ")
+
+
+def _encode(block, enc) -> list[str]:
+    """``enc`` over one column block, once per distinct value if the block
+    repeats values of one type of :data:`_MEMO_TYPES` and holds no zero:
+    ``1``, ``1.0`` and ``True`` are equal but print differently, as are ``0.0`` and ``-0.0``."""
+    memo = dict.fromkeys(block) if set(map(type, block)) in _MEMO_TYPES else {}
+    if len(memo) in (0, len(block)) or 0.0 in memo:
+        return list(map(enc, block))
+    for value in memo:
+        memo[value] = enc(value)
+    return list(map(memo.__getitem__, block))
+
+
+def _blocks(columns: list[Column], enc):
+    """Per block of :data:`_BLOCK_ROWS` rows, each column's encoded values."""
+    for start in range(0, len(columns[0].values) if columns else 0, _BLOCK_ROWS):
+        yield [_encode(c.values[start:start + _BLOCK_ROWS], enc) for c in columns]
+
+
+def _csv_chunks(envelope: ResultEnvelope):
+    cfg, prov = envelope.config, envelope.provenance
+    yield (f"# schema_version: {envelope.schema_version}\n# command: {cfg.command}\n"
+           f"# parameters: {json.dumps(cfg.parameters, sort_keys=True)}\n# seed: {cfg.seed}\n"
+           f"# build: {prov.get('build', '')}\n# timestamp: {prov.get('timestamp', '')}\n"
+           + ",".join(c.header() for c in envelope.columns) + "\n")
+    for cols in _blocks(envelope.columns, _csv_value):
+        yield "\n".join(map(",".join, zip(*cols))) + "\n"
+
+
+def _json_chunks(envelope: ResultEnvelope):
+    """``json.dumps(doc, indent=2)`` of the document: the skeleton once, each
+    column's ``values`` streamed in blocks into its place."""
+    doc = {"schema_version": envelope.schema_version, "config": envelope.config.echo(), "columns": [],
+           "provenance": envelope.provenance}
+    # Split only at keys: an encoded string holds no raw newline and no bare quote.
+    head, tail = (json.dumps(doc, indent=2) + "\n").split('\n  "columns": []')
+    skeleton = [{"name": c.name, "unit": c.unit, "values": []} for c in envelope.columns]
+    pieces = json.dumps(skeleton, indent=2).replace("\n", "\n  ").split('"values": []')
+    yield head + '\n  "columns": ' + pieces[0]
+    for c, piece in zip(envelope.columns, pieces[1:]):
+        for k, (items,) in enumerate(_blocks([c], _json_value)):
+            yield ("," if k else '"values": [') + "\n        " + ",\n        ".join(items)
+        yield ("\n      ]" if len(c.values) else '"values": []') + piece
+    yield tail
 
 
 def render_csv(envelope: ResultEnvelope) -> str:
-    lines = [
-        f"# schema_version: {envelope.schema_version}",
-        f"# command: {envelope.config.command}",
-        f"# parameters: {json.dumps(envelope.config.parameters, sort_keys=True)}",
-        f"# seed: {envelope.config.seed}",
-        f"# build: {envelope.provenance.get('build', '')}",
-        f"# timestamp: {envelope.provenance.get('timestamp', '')}",
-        ",".join(c.header() for c in envelope.columns),
-    ]
-    n_rows = len(envelope.columns[0].values) if envelope.columns else 0
-    for i in range(n_rows):
-        lines.append(",".join(_fmt(c.values[i]) for c in envelope.columns))
-    return "\n".join(lines) + "\n"
+    return "".join(_csv_chunks(envelope))
 
 
 def render_json(envelope: ResultEnvelope) -> str:
-    doc = {
-        "schema_version": envelope.schema_version,
-        "config": envelope.config.echo(),
-        "columns": [
-            {"name": c.name, "unit": c.unit, "values": list(c.values)} for c in envelope.columns
-        ],
-        "provenance": envelope.provenance,
-    }
-    return json.dumps(doc, indent=2, sort_keys=False) + "\n"
+    return "".join(_json_chunks(envelope))
 
 
 def write_result(envelope: ResultEnvelope) -> Path:
-    """Serialize to the configured path; I/O errors propagate to the caller
-    (the CLI maps them to exit status 1)."""
+    """Serialize to the configured path block by block, never holding the
+    whole text; I/O errors propagate (the CLI maps them to exit status 1)."""
     path = Path(envelope.config.output_path)
-    text = render_csv(envelope) if envelope.config.format == "csv" else render_json(envelope)
-    path.write_text(text, encoding="utf-8", newline="")
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        fh.writelines((_csv_chunks if envelope.config.format == "csv" else _json_chunks)(envelope))
     return path
 
 

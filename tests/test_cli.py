@@ -125,6 +125,7 @@ class TestParseConfig:
             (["bloch-traj"], "[bloch-traj]\nomega_max = 3\n", None, "omega_max"),
             (["bloch-traj"], "[bloch-traj]\ninit = 1.0,x\n", None, "init"),
             (["phase-diagram"], "[phase-diagram]\ngrid = 3x3x3\n", None, "grid"),
+            (["--output", "x.csv", "two-qubit"], None, None, "--output must follow the command"),
         ],
     )
     def test_bad_input_is_usage_error(self, argv, ini, env, fragment, tmp_path, capsys, monkeypatch):
@@ -406,19 +407,18 @@ class TestRunners:
         assert row["hx_re"] == pytest.approx(math.tan(0.5 * T) / T, rel=1e-9)
 
     def test_floquet_ham_contour_fallback(self, tmp_path):
-        # a point on the contour: the row comes from the on-contour closed form
+        # points on the contour: the rows come from the on-contour closed form
         import floquet_ep.floquet as fl
 
-        base = fl.FloquetParams(p=0.5, T=1.0, j_av=math.pi, gamma_av=0.0)
-        gamma = fl.ep_contour_gamma(base, branch=1) or fl.ep_contour_gamma(base, branch=-1)
-        base2 = fl.FloquetParams(p=0.5, T=1.0, j_av=1.733, gamma_av=0.0)
-        gamma2 = fl.ep_contour_gamma(base2, branch=1)
-        out = tmp_path / "fh.csv"
-        assert main(["floquet-ham", "--p", "0.5", "--j-av", "1.733",
-                     "--gamma-av", f"{gamma2}", "--omega", f"{2*math.pi}",
-                     "--output", str(out)]) == 0
-        headers, cols = parse_csv(out.read_text())
-        assert cols[headers.index("on_contour [flag]")][0] == 1.0
+        for j_av in (math.pi, 1.733):
+            base = fl.FloquetParams(p=0.5, T=1.0, j_av=j_av, gamma_av=0.0)
+            gamma = fl.ep_contour_gamma(base, branch=1)
+            out = tmp_path / "fh.csv"
+            assert main(["floquet-ham", "--p", "0.5", "--j-av", f"{j_av}",
+                         "--gamma-av", f"{gamma}", "--omega", f"{2*math.pi}",
+                         "--output", str(out)]) == 0
+            headers, cols = parse_csv(out.read_text())
+            assert cols[headers.index("on_contour [flag]")][0] == 1.0
 
     def test_unwritable_output_is_runtime_error(self, capsys):
         assert main(["two-qubit", "--t-max", "1", "--steps", "2",
