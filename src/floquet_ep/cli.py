@@ -13,7 +13,14 @@ import argparse
 import configparser
 import json
 import math
+import os
 import sys
+
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+# The kernels are elementwise or 2x2/4x4 stacks, below OpenBLAS's threading threshold: its pool
+# only adds start-up time and a spinning core.  One thread, unless numpy is loaded or a count is set.
+if "numpy" not in sys.modules and not any(v in os.environ for v in _BLAS_THREAD_VARS):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 

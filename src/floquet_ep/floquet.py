@@ -25,6 +25,7 @@ from .linalg import (
     IDENTITY_2,
     PAULI_X,
     PauliDecomposition,
+    _fold_to_zone,
     logm_2x2,
     pauli_decompose,
 )
@@ -407,7 +408,10 @@ def floquet_hamiltonian_on_contour(params: FloquetParams, tol: float = 1e-8) -> 
         hz = i * tanh(gain_area) / T        (imaginary; odd in gamma_av)
         hy = T * hx * hz                    (imaginary; odd in gamma_av)
 
-    so the map reconstructs exactly as ``+-(I - i T h.sigma)``.  The ratio
+    so the map reconstructs exactly as ``+-(I - i T h.sigma)``.  The sign is
+    carried by h0: 0 for a positive half-trace, else pi/T = omega/2, the
+    included end of the zone ``(-omega/2, omega/2]`` that the matrix log of
+    :func:`floquet_hamiltonian` folds into.  The ratio
     hy/hz = tan(drive_area) tunes the generator continuously between a
     gain-loss dimer (hz dominant, at resonances) and asymmetric-tunneling
     (Hatano-Nelson) form (hy, hx dominant, at the nodes).
@@ -424,7 +428,7 @@ def floquet_hamiltonian_on_contour(params: FloquetParams, tol: float = 1e-8) -> 
     hx = complex(math.tan(params.drive_area) / T)
     hz = 1j * math.tanh(params.gain_area) / T
     hy = T * hx * hz
-    h0 = 0.0 if _half_trace(params.drive_area, params.gain_area) > 0 else -math.pi / T
+    h0 = 0.0 if _half_trace(params.drive_area, params.gain_area) > 0 else _fold_to_zone(-math.pi / T, params.omega)
     dec = PauliDecomposition(complex(h0), np.array([hx, hy, hz], dtype=complex))
     return FloquetHamiltonian(decomposition=dec, on_contour=True)
 

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -495,6 +496,15 @@ class TestNumericEdges:
         assert np.all(phase[saturated] == 1.0)
 
 
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _fresh_python(*argv, **env):
+    """Run ``python ARGV`` in an environment without BLAS thread variables, plus ``env``."""
+    base = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARS}
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env={**base, **env})
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m_help(self):
         proc = subprocess.run(
@@ -517,3 +527,61 @@ class TestModuleEntryPoint:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.strip() == "False"
+
+    def test_package_import_leaves_numpy_unloaded(self):
+        code = "import os, sys; env = dict(os.environ); import floquet_ep; print('numpy' in sys.modules, env == os.environ)"
+        assert _fresh_python("-c", code).stdout.split() == ["False", "True"]
+
+    def test_every_public_name_resolves_to_its_module(self):
+        # in a fresh interpreter, so that every name takes the lazy path
+        code = (
+            "import floquet_ep, floquet_ep.floquet as f, floquet_ep.two_qubit as t\n"
+            "for name in floquet_ep.__all__[1:]:\n"
+            "    home = f if hasattr(f, name) else t\n"
+            "    assert getattr(floquet_ep, name) is getattr(home, name), name\n"
+            "print(len(floquet_ep.__all__))"
+        )
+        proc = _fresh_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "18"
+
+    def test_dir_lists_every_public_name(self):
+        import floquet_ep
+
+        assert set(floquet_ep.__all__) <= set(dir(floquet_ep))
+
+    def test_unknown_attribute_raises(self):
+        import floquet_ep
+
+        with pytest.raises(AttributeError, match="no_such_name"):
+            floquet_ep.no_such_name
+
+
+class TestBlasThreadDefault:
+    """The CLI runs OpenBLAS on one thread unless numpy is loaded or a thread count is set."""
+
+    READ = "import os, floquet_ep.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+
+    def test_cli_import_sets_one_thread(self):
+        assert _fresh_python("-c", self.READ).stdout.strip() == "1"
+
+    def test_user_openblas_count_is_kept(self):
+        assert _fresh_python("-c", self.READ, OPENBLAS_NUM_THREADS="2").stdout.strip() == "2"
+
+    def test_omp_count_leaves_openblas_unset(self):
+        assert _fresh_python("-c", self.READ, OMP_NUM_THREADS="2").stdout.strip() == "None"
+
+    def test_numpy_loaded_first_leaves_environment_untouched(self):
+        code = "import os; env = dict(os.environ); import numpy, floquet_ep.cli; print(env == os.environ)"
+        assert _fresh_python("-c", code).stdout.strip() == "True"
+
+    def test_python_dash_m_runs_with_the_default(self, tmp_path):
+        out = tmp_path / "fh.csv"
+        proc = _fresh_python("-m", "floquet_ep", "floquet-ham", "--output", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert out.exists()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+    def test_cli_import_starts_no_blas_thread(self):
+        code = "import os, floquet_ep.cli; print(len(os.listdir('/proc/self/task')))"
+        assert _fresh_python("-c", code).stdout.strip() == "1"

@@ -447,6 +447,23 @@ class TestOnContourGenerator:
         assert ham_f.hy == -ham.hy         # odd
         assert ham_f.hz == -ham.hz         # odd
 
+    def test_h0_in_the_log_zone_on_negative_half_trace(self):
+        # branch -1 EP at p=0.5, j_av=1, omega=1.2: h0 is +omega/2, the log's value just above
+        base = FloquetParams.from_omega(0.5, 1.2, 1.0, 0.0)
+        gamma = ep_contour_gamma(base, branch=-1)
+        assert gamma == pytest.approx(0.20981949, abs=1e-8)
+        h0 = floquet_hamiltonian_on_contour(base.with_gamma(gamma)).decomposition.scalar
+        above = floquet_hamiltonian(base.with_gamma(gamma + 1e-3)).decomposition.scalar
+        assert abs(h0 - above) < 1e-9
+        assert -base.omega / 2 < h0.real <= base.omega / 2
+        assert h0.real == pytest.approx(base.omega / 2, abs=1e-12)
+
+    def test_h0_zero_on_positive_half_trace(self):
+        for j_av in (math.pi, 1.733):
+            base = FloquetParams(p=0.5, T=1.0, j_av=j_av, gamma_av=0.0)
+            params = base.with_gamma(ep_contour_gamma(base, branch=1))
+            assert floquet_hamiltonian_on_contour(params).decomposition.scalar == 0.0
+
     def test_off_contour_call_rejected(self):
         with pytest.raises(ValueError):
             floquet_hamiltonian_on_contour(SYMMETRIC)
