@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .floquet import FloquetParams, PhaseKind, classify_phase, floquet_operator
+from .floquet import FloquetParams, PhaseKind, classify_phase
 from .linalg import eig
 
 __all__ = [
@@ -213,11 +213,12 @@ def steady_state_bloch(params: FloquetParams) -> BlochState | None:
     The renormalized stroboscopic map converges to the dominant eigenvector
     of the one-period map whenever the eigenvalue magnitudes differ; that
     Bloch vector is returned.  In the PT-symmetric phase and exactly on a
-    contour there is no attractor and None is returned.
+    contour there is no attractor and None is returned.  The map is the
+    scale-free one-period map of :func:`evolve_state`, so the attractor is
+    finite at any gain.
     """
     if classify_phase(params).kind is not PhaseKind.PT_BROKEN:
         return None
-    gf, _ = floquet_operator(params)
-    pairs = eig(gf)
+    pairs = eig(_period_samples(params, 1)[0][-1])
     lam, vec = max(pairs, key=lambda pair: abs(pair[0]))
     return BlochState.from_statevector(vec)

@@ -26,15 +26,10 @@ import numpy as np
 
 from .bloch import equal_superposition_xyz, evolve_state
 from .envelope import FORMATS, Column, RunConfig, make_envelope, write_result
-from .floquet import (
-    FloquetParams,
-    discriminant,
-    floquet_hamiltonian,
-    floquet_hamiltonian_on_contour,
-)
+from .floquet import FloquetParams, _generator
 from .linalg import NumericsError
 from .presets import PRESET_NAMES, PRESETS
-from .sweep import AxisSpec, GridSpec, Quantity, compute_heatmap, resolve_worker_count, trace_contours
+from .sweep import AxisSpec, GridSpec, Quantity, compute_heatmap, trace_contours
 from .two_qubit import TwoQubitParams, density_from_label, entanglement_timeseries
 
 __all__ = ["UsageError", "parse_config", "run", "main"]
@@ -248,10 +243,6 @@ def _validate(command: str, values: dict) -> dict:
         _require(0.0 < p["p"] < 1.0, "p", f"{p['p']} (must lie strictly between 0 and 1)")
         _require(p["j_av"] > 0, "j_av", f"{p['j_av']} (must be positive)")
     if command == "phase-diagram":
-        try:
-            resolve_worker_count(p.get("workers"))
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
         cells = p["grid"].lower().split("x")
         _require(len(cells) == 2 and all(cells), "grid", f"{p['grid']!r} (expected e.g. 400x400)")
         p["grid"] = [_typed("grid", n, 0) for n in cells]
@@ -363,26 +354,22 @@ def _run_ep_contour(cfg: RunConfig) -> list[Column]:
 
 
 def _run_floquet_ham(cfg: RunConfig) -> list[Column]:
+    """One array pass over the frequencies; the areas use the float operations
+    of :meth:`FloquetParams.from_omega`, so each row is the scalar
+    :func:`~floquet_ep.floquet.floquet_hamiltonian` bit for bit."""
     p = cfg.parameters
-    if p["omega_count"] == 1:
-        omegas = [p["omega"]]
-    else:
-        omegas = list(np.linspace(p["omega"], p["omega_max"], p["omega_count"]))
-    names = ("omega", "h0_re", "h0_im", "hx_re", "hx_im", "hy_re", "hy_im", "hz_re", "hz_im", "on_contour")
-    cols = {name: [] for name in names}
-    for omega in omegas:
-        params = FloquetParams.from_omega(p["p"], float(omega), p["j_av"], p["gamma_av"])
-        # at an EP the matrix log can pass its condition test and still be wrong
-        on_contour = abs(discriminant(params)) <= 1e-8
-        ham = (floquet_hamiltonian_on_contour if on_contour else floquet_hamiltonian)(params)
-        cols["omega"].append(float(omega))
-        for name, value in (("h0", ham.h0), ("hx", ham.hx), ("hy", ham.hy), ("hz", ham.hz)):
-            cols[f"{name}_re"].append(value.real)
-            cols[f"{name}_im"].append(value.imag)
-        cols["on_contour"].append(1.0 if ham.on_contour else 0.0)
-    units = {name: "1/time" for name in names}
-    units.update({"omega": "rad/time", "on_contour": "flag"})
-    return [Column(name, units[name], cols[name]) for name in names]
+    omega = np.linspace(p["omega"], p.get("omega_max", p["omega"]), p["omega_count"])
+    with np.errstate(over="ignore", invalid="ignore"):
+        T = 2 * math.pi / omega
+        drive_area = p["j_av"] * (p["p"] * T)
+        gain_area = p["gamma_av"] * ((1 - p["p"]) * T)
+    if not (np.all(np.isfinite(drive_area)) and np.all(np.isfinite(gain_area))):
+        raise ValueError(f"drive or gain area is not finite at omega = {omega.min():g}")
+    h0, hx, hy, hz, on_contour = _generator(drive_area, gain_area, T)
+    cols = [Column("omega", "rad/time", omega.tolist())]
+    for name, h in (("h0", h0), ("hx", hx), ("hy", hy), ("hz", hz)):
+        cols += [Column(f"{name}_re", "1/time", h.real.tolist()), Column(f"{name}_im", "1/time", h.imag.tolist())]
+    return cols + [Column("on_contour", "flag", on_contour.astype(float).tolist())]
 
 
 def _run_bloch_traj(cfg: RunConfig) -> list[Column]:

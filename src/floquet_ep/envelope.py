@@ -53,10 +53,10 @@ class RunConfig:
     """Fully validated run request: one command, its parameter map, and
     where/how to write the result.
 
-    ``workers`` is accepted for the phase diagram and validated (>= 1), but
-    the heat map is one array pass, so it changes nothing; it never enters
-    the serialized result, which is identical for any worker count.  The
-    same goes for ``output_path``.
+    ``workers`` is accepted and validated (>= 1), but every kernel is one
+    array pass on one thread, so it changes nothing; it never enters the
+    serialized result, which is identical for any worker count.  The same
+    goes for ``output_path``.
     """
 
     command: str

@@ -21,14 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import (
-    IDENTITY_2,
-    PAULI_X,
-    PauliDecomposition,
-    _fold_to_zone,
-    logm_2x2,
-    pauli_decompose,
-)
+from .linalg import IDENTITY_2, PauliDecomposition, pauli_decompose
 
 __all__ = [
     "FloquetParams",
@@ -272,6 +265,46 @@ def _discriminant(drive_area, gain_area):
         return (q - 1.0) * (q + 1.0)
 
 
+#: on-contour band of the generator, ``|discriminant| <= CONTOUR_TOL``
+CONTOUR_TOL = 1e-8
+_SERIES_D = 1e-4  # below this |discriminant|, the series of asinh(r)/r
+
+
+def _generator(drive_area, gain_area, T, tol: float = CONTOUR_TOL):
+    """Effective generator ``(h0, hx, hy, hz, on_contour)`` of the one-period
+    map at any gain; scalars or arrays, ``on_contour`` is ``|d| <= tol`` for
+    the discriminant d.
+
+    Over cosh g, ``G = e^{g sz} e^{-i a sx}`` is ``cos a + u.sigma`` with
+    ``u = (-i sin a, sin a tanh g, cos a tanh g)``, ``u.u = rho^2 = d/cosh^2 g``.
+    Then ``s G = exp(theta s u.sigma / rho)`` with ``e^theta = cosh g (s cos a
+    + rho)`` and ``h = i (theta/rho) s u / T``, where theta/rho is real:
+    ``atan2(|rho|, s cos a) / |rho|`` for rho imaginary, and the series of
+    asinh(r)/r for small |d| where ``s cos a > 0``.  Zone rule of the matrix
+    log, quasienergies in ``(-omega/2, omega/2]``: ``s = -1``, ``h0 = pi/T``
+    where ``cos a < 0`` and ``d >= -tol``; else ``s = 1``, ``h0 = 0``.
+    """
+    c, sin_a, ag = np.cos(drive_area), np.sin(drive_area), np.abs(gain_area)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        d = _discriminant(drive_area, gain_area)
+        sign = np.where((c < 0) & (d >= -tol), -1.0, 1.0)
+        sc = sign * c
+        e2 = np.exp(-2 * ag)
+        sech = 2 * np.exp(-ag) / (1 + e2)
+        rho2 = (c - sech) * (c + sech)
+        rho = np.sqrt(np.abs(rho2))
+        log_cosh = ag + np.log1p(e2) - math.log(2)
+        ratio = np.where(
+            (np.abs(d) < _SERIES_D) & (sc > 0),
+            np.cosh(ag) * (1 - d / 6 + 3 * d * d / 40),
+            np.where(rho2 > 0, (log_cosh + np.log(sc + rho)) / rho, np.arctan2(rho, sc) / rho),
+        )
+        k = sign * ratio / T
+    tanh_g = np.tanh(gain_area)
+    h0 = np.where(sign < 0, math.pi / T, 0.0)
+    return h0, k * sin_a, 1j * (k * sin_a * tanh_g), 1j * (k * c * tanh_g), np.abs(d) <= tol
+
+
 def _phase_code(d, tol: float = PHASE_TOL):
     """-1 PT-symmetric, 0 exceptional point (``|d| <= tol``), +1 PT-broken."""
     return np.where(d < -tol, -1.0, np.where(d > tol, 1.0, 0.0))
@@ -385,21 +418,27 @@ def ep_gamma_high_frequency(p: float, j_av: float) -> float:
     return p * j_av / (1 - p)
 
 
+def _hamiltonian(params: FloquetParams, tol: float) -> FloquetHamiltonian:
+    h0, hx, hy, hz, on_contour = _generator(params.drive_area, params.gain_area, params.T, tol)
+    dec = PauliDecomposition(complex(h0), np.array([hx, hy, hz], dtype=complex))
+    return FloquetHamiltonian(decomposition=dec, on_contour=bool(on_contour))
+
+
 def floquet_hamiltonian(params: FloquetParams) -> FloquetHamiltonian:
-    """Effective static generator of the one-period map, off contour.
+    """Effective static generator H of the one-period map, ``exp(-i T H) = G``.
 
-    Computed through the principal matrix logarithm with quasienergy real
-    parts folded into ``(-omega/2, omega/2]``.  Near an exceptional contour it
-    raises :class:`~floquet_ep.linalg.NearDefectiveError`, but not at every
-    point on it: where ``|discriminant| <= 1e-8`` use :func:`floquet_hamiltonian_on_contour`.
+    Finite at every point and any gain, exceptional contours included: the
+    closed form never forms G, so it neither overflows nor raises near an
+    EP.  It reproduces the principal matrix log
+    (:func:`~floquet_ep.linalg.logm_2x2`) wherever that is well conditioned;
+    h0 is 0, or omega/2 where the half-trace is negative outside the
+    PT-symmetric phase.  ``on_contour`` flags ``|discriminant| <= 1e-8``.
     """
-    gf, _ = floquet_operator(params)
-    dec = logm_2x2(gf, params.T)
-    return FloquetHamiltonian(decomposition=dec, on_contour=False)
+    return _hamiltonian(params, CONTOUR_TOL)
 
 
-def floquet_hamiltonian_on_contour(params: FloquetParams, tol: float = 1e-8) -> FloquetHamiltonian:
-    """Exact effective generator on an exceptional contour.
+def floquet_hamiltonian_on_contour(params: FloquetParams, tol: float = CONTOUR_TOL) -> FloquetHamiltonian:
+    """Effective generator on an exceptional contour.
 
     There the generator squares to a scalar, the exponential series for the
     one-period map terminates at first order, and the components are
@@ -408,29 +447,21 @@ def floquet_hamiltonian_on_contour(params: FloquetParams, tol: float = 1e-8) -> 
         hz = i * tanh(gain_area) / T        (imaginary; odd in gamma_av)
         hy = T * hx * hz                    (imaginary; odd in gamma_av)
 
-    so the map reconstructs exactly as ``+-(I - i T h.sigma)``.  The sign is
-    carried by h0: 0 for a positive half-trace, else pi/T = omega/2, the
-    included end of the zone ``(-omega/2, omega/2]`` that the matrix log of
-    :func:`floquet_hamiltonian` folds into.  The ratio
-    hy/hz = tan(drive_area) tunes the generator continuously between a
-    gain-loss dimer (hz dominant, at resonances) and asymmetric-tunneling
-    (Hatano-Nelson) form (hy, hx dominant, at the nodes).
-
-    The caller must guarantee the parameters sit on a contour
-    (``|discriminant| <= tol``); calling off contour raises ValueError.
+    to first order in the discriminant, so the map reconstructs as
+    ``+-(I - i T h.sigma)``.  The sign is carried by h0: 0 for a positive
+    half-trace, else pi/T = omega/2, the included end of the zone
+    ``(-omega/2, omega/2]``.  The ratio hy/hz = tan(drive_area) tunes the
+    generator continuously between a gain-loss dimer (hz dominant, at
+    resonances) and asymmetric-tunneling (Hatano-Nelson) form (hy, hx
+    dominant, at the nodes).  It is :func:`floquet_hamiltonian` with the
+    contour band ``|discriminant| <= tol``; off that band it raises ValueError.
     """
-    d = discriminant(params)
-    if abs(d) > tol:
+    ham = _hamiltonian(params, tol)
+    if not ham.on_contour:
         raise ValueError(
-            f"parameters are off the exceptional contour (discriminant {d:.3e}, tol {tol:.1e})"
+            f"parameters are off the exceptional contour (discriminant {discriminant(params):.3e}, tol {tol:.1e})"
         )
-    T = params.T
-    hx = complex(math.tan(params.drive_area) / T)
-    hz = 1j * math.tanh(params.gain_area) / T
-    hy = T * hx * hz
-    h0 = 0.0 if _half_trace(params.drive_area, params.gain_area) > 0 else _fold_to_zone(-math.pi / T, params.omega)
-    dec = PauliDecomposition(complex(h0), np.array([hx, hy, hz], dtype=complex))
-    return FloquetHamiltonian(decomposition=dec, on_contour=True)
+    return ham
 
 
 def dp_proximity(params: FloquetParams) -> tuple[float, float]:

@@ -57,11 +57,10 @@ DEFECTIVE_CONDITION_LIMIT = 1e8
 
 
 class NearDefectiveError(ValueError):
-    """Raised when a matrix is too close to an exceptional (defective) point
-    for a meaningful eigendecomposition-based logarithm.
+    """Raised by :func:`logm_2x2` when a matrix is too close to an exceptional
+    (defective) point for a meaningful eigendecomposition-based logarithm.
 
-    Callers that know they sit on an exceptional contour should use the
-    first-order closed forms instead (``floquet_hamiltonian_on_contour``).
+    ``floquet_hamiltonian`` does not use the log and is finite there.
     """
 
 
@@ -182,7 +181,7 @@ def logm_2x2(m, period: float) -> PauliDecomposition:
     Raises:
         NearDefectiveError: if the eigenvector condition number exceeds
             ``DEFECTIVE_CONDITION_LIMIT`` (the matrix log is then numerically
-            meaningless; use the on-contour closed forms).
+            meaningless; ``floquet_hamiltonian`` is not).
         ValueError: for singular input or non-positive period.
     """
     a = _as_matrix(m, dims=(2,))

@@ -11,7 +11,6 @@ at :meth:`GridSpec.params_at` bit for bit.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -33,14 +32,10 @@ __all__ = [
     "ContourBranch",
     "ContourSet",
     "ResonanceInfo",
-    "resolve_worker_count",
     "compute_heatmap",
     "trace_contours",
     "resonance_frequencies",
 ]
-
-WORKER_ENV_VAR = "FLOQUET_EP_THREADS"
-
 
 @dataclass(frozen=True)
 class AxisSpec:
@@ -108,37 +103,17 @@ class HeatMap:
         return self.grid.omega_axis.values()
 
 
-def resolve_worker_count(requested: int | None = None) -> int:
-    """Effective worker count: the request (default 1), capped by the
-    ``FLOQUET_EP_THREADS`` environment variable (0 there means all cores),
-    which must be a non-negative integer."""
-    n = 1 if requested is None else int(requested)
-    if n < 1:
-        raise ValueError("worker count must be >= 1")
-    cap_env = os.environ.get(WORKER_ENV_VAR)
-    if cap_env is not None:
-        try:
-            cap = int(cap_env)
-        except ValueError:
-            cap = -1
-        if cap < 0:
-            raise ValueError(f"{WORKER_ENV_VAR} must be a non-negative integer, got {cap_env!r}")
-        if cap == 0:
-            cap = os.cpu_count() or 1
-        n = min(n, max(1, cap))
-    return n
-
-
 def compute_heatmap(grid: GridSpec, quantity: Quantity, workers: int | None = None) -> HeatMap:
     """Evaluate one quantity over the grid in a single array pass.
 
     The gain axis is broadcast as a column against the frequency axis as a
     row; the drive and gain areas use the float operations of
-    :meth:`FloquetParams.from_dimensionless`.  ``workers`` is validated
-    through :func:`resolve_worker_count` and otherwise unused: there is one
-    code path, so the result is identical for every worker count.
+    :meth:`FloquetParams.from_dimensionless`.  ``workers`` (default 1) must
+    be >= 1 and is otherwise unused: there is one code path, so the result
+    is identical for every worker count.
     """
-    resolve_worker_count(workers)
+    if workers is not None and workers < 1:
+        raise ValueError("worker count must be >= 1")
     p, j_av, pj = grid.p, grid.j_av, grid.p * grid.j_av
     omega = grid.omega_axis.values()[np.newaxis, :] * pj
     if not np.all(omega > 0):

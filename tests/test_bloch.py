@@ -13,7 +13,8 @@ from floquet_ep.bloch import (
     steady_state_bloch,
     stroboscopic_slice,
 )
-from floquet_ep.floquet import FloquetParams, ep_contour_gamma
+from floquet_ep.floquet import FloquetParams, ep_contour_gamma, floquet_operator
+from floquet_ep.linalg import eig
 
 SYMMETRIC = FloquetParams.from_dimensionless(1.0, 2.5 * math.pi)
 BROKEN = FloquetParams.from_dimensionless(1.25, 2.5 * math.pi)
@@ -192,3 +193,20 @@ class TestSteadyState:
         state = steady_state_bloch(params)
         assert state is not None
         assert state.theta < 1e-6
+
+    @pytest.mark.parametrize("gamma_av", [1.5, -1.5, 4.0, 8.0])
+    def test_matches_dominant_eigenvector_of_the_unscaled_map(self, gamma_av):
+        params = FloquetParams(p=0.4, T=1.6, j_av=1.3, gamma_av=gamma_av)
+        state = steady_state_bloch(params)
+        assert state is not None
+        _, vec = max(eig(floquet_operator(params)[0]), key=lambda pair: abs(pair[0]))
+        want = BlochState.from_statevector(vec)
+        assert np.abs(state.cartesian - want.cartesian).max() < 1e-12
+
+    def test_finite_where_the_map_overflows(self):
+        # gain area 1000 * 0.5 * 2 pi / 0.1 = 31416
+        for sign in (1.0, -1.0):
+            state = steady_state_bloch(FloquetParams.from_omega(0.5, 0.1, 1.0, sign * 1000.0))
+            assert state is not None
+            assert np.all(np.isfinite(state.cartesian))
+            assert state.cartesian[2] == pytest.approx(sign, abs=1e-12)

@@ -21,7 +21,7 @@ from floquet_ep.envelope import (
     render_json,
     write_result,
 )
-from floquet_ep.floquet import FloquetParams, floquet_hamiltonian_on_contour
+from floquet_ep.floquet import FloquetParams, floquet_hamiltonian, floquet_hamiltonian_on_contour
 from floquet_ep.presets import PRESET_NAMES, figure_preset
 
 #: Keys of each command's flags (``--config`` aside), in ``--help`` order.
@@ -99,7 +99,7 @@ class TestParseConfig:
         assert "seed" not in cfg.parameters and "workers" not in cfg.parameters
 
     @pytest.mark.parametrize(
-        "argv,ini,env,fragment",
+        "argv,ini,workers,fragment",
         [
             (["preset", "fig1b", "--workers", "0"], None, None, "workers"),
             (["preset", "fig1c", "--workers", "0"], None, None, "workers"),
@@ -114,8 +114,8 @@ class TestParseConfig:
             (["two-qubit"], "[two-qubit]\nj = 0.5\nj = 0.7\n", None, "run.ini"),
             (["two-qubit"], "[two-qubit]\nj = 0.5\n[two-qubit]\nsteps = 3\n", None, "run.ini"),
             (["phase-diagram", "--grid", "3x3"], "[phase-diagram]\ngamma_scale = cubic\n", None, "gamma_scale"),
-            (["phase-diagram", "--grid", "3x3"], None, "abc", "FLOQUET_EP_THREADS"),
-            (["phase-diagram", "--grid", "3x3"], None, "-3", "FLOQUET_EP_THREADS"),
+            (["phase-diagram", "--grid", "3x3"], None, "0", "workers"),
+            (["phase-diagram", "--grid", "3x3"], None, "-3", "workers"),
             (["two-qubit", "--steps", "abc"], None, None, "steps"),
             (["phase-diagram", "--quantity", "foo"], None, None, "quantity"),
             (["two-qubit", "--gamma", "1", "--gamma", "x"], None, None, "gamma"),
@@ -129,16 +129,14 @@ class TestParseConfig:
             (["--output", "x.csv", "two-qubit"], None, None, "--output must follow the command"),
         ],
     )
-    def test_bad_input_is_usage_error(self, argv, ini, env, fragment, tmp_path, capsys, monkeypatch):
+    def test_bad_input_is_usage_error(self, argv, ini, workers, fragment, tmp_path, capsys):
         out = tmp_path / "out.csv"
         extra = ["--output", str(out)]
         if ini is not None:
             (tmp_path / "run.ini").write_text(ini)
             extra += ["--config", str(tmp_path / "run.ini")]
-        if env is None:
-            monkeypatch.delenv("FLOQUET_EP_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("FLOQUET_EP_THREADS", env)
+        if workers is not None:
+            extra += ["--workers", workers]
         assert main(argv + extra) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -189,8 +187,7 @@ _TEXT = st.one_of(
 )
 @settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=_TEXT)
-def test_any_config_file_value_parses_or_is_a_usage_error(command, key, text, tmp_path, monkeypatch):
-    monkeypatch.delenv("FLOQUET_EP_THREADS", raising=False)
+def test_any_config_file_value_parses_or_is_a_usage_error(command, key, text, tmp_path):
     ini = tmp_path / "run.ini"
     ini.write_text(f"[{command}]\n{key} = {text}\n", encoding="utf-8")
     try:
@@ -213,9 +210,8 @@ def _parse_or_usage_error(argv):
 )
 @settings(max_examples=4, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=_TEXT.filter(lambda t: t == t.strip() and "\n" not in t and "\r" not in t))
-def test_flag_and_config_file_values_obey_the_same_rules(command, key, text, tmp_path, monkeypatch):
+def test_flag_and_config_file_values_obey_the_same_rules(command, key, text, tmp_path):
     # a config file strips a value and ends it at a line break; a flag keeps the text as given
-    monkeypatch.delenv("FLOQUET_EP_THREADS", raising=False)
     ini = tmp_path / "run.ini"
     ini.write_text(f"[{command}]\n{key} = {text}\n", encoding="utf-8")
     from_flag = _parse_or_usage_error([command, f"--{key.replace('_', '-')}={text}"])
@@ -394,6 +390,21 @@ class TestRunners:
         assert cols[headers.index("hy_im [1/time]")][0] == pytest.approx(0.0, abs=1e-12)
         assert cols[headers.index("on_contour [flag]")][0] == 0.0
 
+    def test_floquet_ham_sweep_rows_equal_scalar_calls(self, tmp_path):
+        out = tmp_path / "fh.csv"
+        argv = ["floquet-ham", "--p", "0.3", "--j-av", "1.7", "--gamma-av", "0.8",
+                "--omega", "0.2", "--omega-max", "6", "--omega-count", "300", "--output", str(out)]
+        assert main(argv) == 0
+        headers, cols = parse_csv(out.read_text())
+        rows = {h.split(" ")[0]: col for h, col in zip(headers, cols)}
+        for k, omega in enumerate(np.linspace(0.2, 6.0, 300)):
+            ham = floquet_hamiltonian(FloquetParams.from_omega(0.3, float(omega), 1.7, 0.8))
+            assert rows["omega"][k] == omega
+            for name in ("h0", "hx", "hy", "hz"):
+                value = getattr(ham, name)
+                assert (rows[f"{name}_re"][k], rows[f"{name}_im"][k]) == (value.real, value.imag)
+            assert rows["on_contour"][k] == float(ham.on_contour)
+
     def test_floquet_ham_exact_ep_takes_the_closed_form(self, tmp_path):
         # an exact EP where the matrix log passes its condition test yet is wrong
         omega, gamma = 1.0029949874686717, 0.00299503139708575
@@ -408,7 +419,7 @@ class TestRunners:
         assert row["hx_re"] == pytest.approx(math.tan(0.5 * T) / T, rel=1e-9)
 
     def test_floquet_ham_contour_fallback(self, tmp_path):
-        # points on the contour: the rows come from the on-contour closed form
+        # points on the contour are flagged
         import floquet_ep.floquet as fl
 
         for j_av in (math.pi, 1.733):
@@ -473,12 +484,23 @@ class TestNumericEdges:
         assert not out.exists()
 
     def test_overflow_is_a_clean_runtime_error(self, tmp_path, capsys):
+        # the period 2*pi/omega overflows: the drive area is not finite
         out = tmp_path / "fh.csv"
-        assert main(["floquet-ham", "--gamma-av", "1000", "--omega", "0.1", "--output", str(out)]) == 1
+        assert main(["floquet-ham", "--omega", "1e-310", "--output", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_strong_gain_floquet_ham_is_finite(self, tmp_path):
+        # gain area 1000 * pi * 10: the one-period map itself overflows doubles
+        out = tmp_path / "fh.csv"
+        assert main(["floquet-ham", "--gamma-av", "1000", "--omega", "0.1", "--output", str(out)]) == 0
+        headers, cols = parse_csv(out.read_text())
+        row = {h.split(" ")[0]: col[0] for h, col in zip(headers, cols)}
+        assert all(math.isfinite(v) for v in row.values())
+        assert row["hz_im"] == pytest.approx(500.0, rel=1e-12)
+        assert row["on_contour"] == 0.0
 
     def test_strong_gain_discriminant_saturates(self, tmp_path):
         base = ["phase-diagram", "--gamma-max", "1e4", "--grid", "20x20"]

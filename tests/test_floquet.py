@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from floquet_ep.floquet import (
     FloquetParams,
@@ -29,8 +31,8 @@ from floquet_ep.linalg import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    NearDefectiveError,
     eig,
+    logm_2x2,
     expm,
     is_unitary,
 )
@@ -349,10 +351,7 @@ class TestEffectiveGenerator:
                 j_av=rng.uniform(0.1, 2.0),
                 gamma_av=rng.uniform(0.0, 1.2),
             )
-            try:
-                ham = floquet_hamiltonian(params)
-            except NearDefectiveError:
-                continue
+            ham = floquet_hamiltonian(params)
             phase = cmath.exp(-1j * ham.h0 * params.T)
             assert min(abs(phase - 1), abs(phase + 1)) < 1e-9
             done += 1
@@ -370,10 +369,7 @@ class TestEffectiveGenerator:
             )
             if abs(math.sin(params.drive_area)) < 1e-3:
                 continue
-            try:
-                ham = floquet_hamiltonian(params)
-            except NearDefectiveError:
-                continue
+            ham = floquet_hamiltonian(params)
             norm = ham.decomposition.vector_norm
             if abs(norm) < 1e-3:
                 continue
@@ -403,10 +399,7 @@ class TestEffectiveGenerator:
                 j_av=rng.uniform(0.05, 2.0),
                 gamma_av=rng.uniform(0.0, 1.5),
             )
-            try:
-                ham = floquet_hamiltonian(params)
-            except NearDefectiveError:
-                continue
+            ham = floquet_hamiltonian(params)
             for comp in (ham.hx, ham.hy, ham.hz):
                 mag = abs(comp)
                 if mag > 1e-12:
@@ -414,10 +407,81 @@ class TestEffectiveGenerator:
             assert abs(ham.decomposition.norm_sq.imag) < 1e-9 * max(1.0, abs(ham.decomposition.norm_sq))
             done += 1
 
-    def test_near_contour_raises_near_defective(self):
+    def test_finite_at_and_near_contour(self):
+        # the matrix log raises here; the closed form is finite and rebuilds the map
         params = contour_params()
-        with pytest.raises(NearDefectiveError):
-            floquet_hamiltonian(params)
+        for scale, on_contour in ((1.0, True), (1 - 1e-6, False), (1 + 1e-6, False)):
+            point = params.with_gamma(params.gamma_av * scale)
+            ham = floquet_hamiltonian(point)
+            assert ham.on_contour is on_contour
+            assert (abs(discriminant(point)) <= 1e-8) is on_contour
+            vec = np.array([ham.h0, ham.hx, ham.hy, ham.hz])
+            assert np.all(np.isfinite(vec))
+            gf, _ = floquet_operator(point)
+            assert np.abs(expm(-1j * point.T * ham.decomposition.reconstruct()) - gf).max() < 1e-8
+
+
+def _areas_params(a: float, g: float, T: float) -> FloquetParams:
+    """A point with drive area ~a and gain area ~g (p = 0.5)."""
+    return FloquetParams(p=0.5, T=T, j_av=a / (0.5 * T), gamma_av=g / (0.5 * T))
+
+
+def _components(ham) -> np.ndarray:
+    return np.array([ham.h0, ham.hx, ham.hy, ham.hz])
+
+
+class TestGeneratorProperties:
+    """Invariants of the closed-form generator over the whole parameter plane."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=st.floats(0.0, 30.0), g=st.floats(-1e4, 1e4), T=st.floats(0.1, 10.0))
+    def test_finite_zone_and_antilinear_structure(self, a, g, T):
+        params = _areas_params(a, g, T)
+        ham = floquet_hamiltonian(params)
+        assert np.all(np.isfinite(_components(ham)))
+        assert ham.h0 in (0.0, params.omega / 2)
+        for comp in (ham.hx, ham.hy, ham.hz):
+            assert comp.real == 0.0 or comp.imag == 0.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=st.floats(0.0, 30.0), g=st.floats(0.0, 1e4), T=st.floats(0.1, 10.0))
+    def test_gain_parity_is_bitwise(self, a, g, T):
+        params = _areas_params(a, g, T)
+        ham, flipped = floquet_hamiltonian(params), floquet_hamiltonian(params.with_gamma(-params.gamma_av))
+        assert (flipped.h0, flipped.hx) == (ham.h0, ham.hx)
+        assert (flipped.hy, flipped.hz) == (-ham.hy, -ham.hz)
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=st.floats(0.0, 30.0), g=st.floats(-6.0, 6.0), T=st.floats(0.1, 10.0))
+    def test_matches_the_matrix_log(self, a, g, T):
+        # the log loses ~1e-16 cosh^2(g) / |d| near a contour, so compare where
+        # the scale-free distance d / cosh^2(g) is at least 1e-6
+        params = _areas_params(a, g, T)
+        assume(abs(discriminant(params)) >= 1e-6 * math.cosh(params.gain_area) ** 2)
+        ref = logm_2x2(floquet_operator(params)[0], params.T)
+        want = np.array([ref.scalar, *ref.vector])
+        got = _components(floquet_hamiltonian(params))
+        assert np.abs(got - want).max() <= 1e-9 * max(1.0, np.abs(want).max())
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=st.floats(0.0, 30.0), g=st.floats(-700.0, 700.0), T=st.floats(0.1, 10.0))
+    def test_rebuilds_the_scale_free_map(self, a, g, T):
+        # exp(-i T H) / cosh g against G / cosh g = cos a + u.sigma, without forming G
+        params = _areas_params(a, g, T)
+        a, g, T = params.drive_area, params.gain_area, params.T
+        d = discriminant(params)
+        assume(abs(d) >= 1e-6 and not (math.cos(a) < 0 and d < 0))
+        ham = floquet_hamiltonian(params)
+        w = -1j * T * np.array([ham.hx, ham.hy, ham.hz])
+        theta = np.sqrt(np.sum(w * w))
+        log_cosh = abs(g) + math.log1p(math.exp(-2 * abs(g))) - math.log(2)
+        up, down = np.exp(theta - log_cosh), np.exp(-theta - log_cosh)
+        phase = np.exp(-1j * T * ham.h0)
+        got = phase * ((up + down) / 2 * IDENTITY_2 + (up - down) / (2 * theta) * (
+            w[0] * PAULI_X + w[1] * PAULI_Y + w[2] * PAULI_Z))
+        u = [-1j * math.sin(a), math.sin(a) * math.tanh(g), math.cos(a) * math.tanh(g)]
+        want = math.cos(a) * IDENTITY_2 + u[0] * PAULI_X + u[1] * PAULI_Y + u[2] * PAULI_Z
+        assert np.abs(got - want).max() <= 1e-8
 
 
 class TestOnContourGenerator:

@@ -19,7 +19,6 @@ from floquet_ep.sweep import (
     GridSpec,
     Quantity,
     compute_heatmap,
-    resolve_worker_count,
     resonance_frequencies,
     trace_contours,
 )
@@ -114,16 +113,6 @@ class TestHeatmap:
         for workers in (2, 4):
             parallel = compute_heatmap(grid, Quantity.INNER_PRODUCT, workers=workers)
             assert np.array_equal(serial.values, parallel.values)
-
-    def test_worker_env_cap(self, monkeypatch):
-        monkeypatch.setenv("FLOQUET_EP_THREADS", "1")
-        assert resolve_worker_count(16) == 1
-        monkeypatch.setenv("FLOQUET_EP_THREADS", "0")
-        assert resolve_worker_count(4) >= 1
-        monkeypatch.delenv("FLOQUET_EP_THREADS")
-        assert resolve_worker_count(None) == 1
-        with pytest.raises(ValueError):
-            resolve_worker_count(0)
 
 
 PHASE_CODES = {PhaseKind.PT_SYMMETRIC: -1.0, PhaseKind.EXCEPTIONAL_POINT: 0.0, PhaseKind.PT_BROKEN: 1.0}
