@@ -203,8 +203,8 @@ def evolve_state(
 def stroboscopic_slice(traj: Trajectory) -> list[BlochState]:
     """States at the period boundaries t = T, 2T, ..., nT (initial state
     excluded)."""
-    step = traj.samples_per_period
-    return [traj.states[m * step] for m in range(1, traj.n_periods + 1)]
+    idx = traj.samples_per_period * np.arange(1, traj.n_periods + 1)
+    return [BlochState(t, p) for t, p in zip(traj.theta[idx].tolist(), traj.phi[idx].tolist())]
 
 
 def steady_state_bloch(params: FloquetParams) -> BlochState | None:

@@ -39,32 +39,57 @@ class UsageError(Exception):
     """Invalid flags or parameter values; maps to exit status 2."""
 
 
-_DEFAULTS: dict[str, dict] = {
-    "phase-diagram": {
-        "p": 0.5,
-        "j_av": 1.0,
-        "grid": "400x400",
-        "gamma_min": 1e-2,
-        "gamma_max": 10.0,
-        "gamma_scale": "log",
-        "omega_min": 0.1,
-        "omega_max": 3.0,
-        "omega_scale": "linear",
-        "quantity": "inner-product",
-    },
-    "ep-contour": {"p": 0.5, "j_av": 1.0, "omega_min": 0.18, "omega_max": 2.2, "samples": 2000},
-    "floquet-ham": {"p": 0.5, "j_av": 1.0, "gamma_av": 0.4, "omega": 2.0, "omega_count": 1},
-    "bloch-traj": {
-        "p": 0.5,
-        "j_av": 1.0,
-        "gamma_ratio": 1.0,
-        "omega_ratio": 2.5 * math.pi,
-        "periods": 20,
-        "substeps": 64,
-        "init": "xyz",
-    },
-    "two-qubit": {"j": 0.5, "gamma": [1.0], "kx": [1.0], "init": "00", "t_max": 20.0, "steps": 400},
+_RATES = {"p": (0.5, "unitary fraction of the period"), "j_av": (1.0, "average Rabi rate")}
+
+#: command -> (``--help`` summary, {parameter key: (default, help)}), keys in
+#: ``--help`` order.  A list default makes the flag repeatable; ``None`` means
+#: the flag has no default.
+_COMMANDS: dict[str, tuple[str, dict]] = {
+    "phase-diagram": ("heat map of a PT-phase quantity over the dimensionless (gain, frequency) plane", {
+        **_RATES,
+        "grid": ("400x400", "cells as GAMMAxOMEGA"),
+        "gamma_min": (1e-2, "gain axis low end, (1-p)*gamma/(p*j_av) units"),
+        "gamma_max": (10.0, "gain axis high end"),
+        "gamma_scale": ("log", "gain axis spacing"),
+        "omega_min": (0.1, "frequency axis low end, omega/(p*j_av) units"),
+        "omega_max": (3.0, "frequency axis high end"),
+        "omega_scale": ("linear", "frequency axis spacing"),
+        "quantity": ("inner-product", "cell quantity: eigenvector inner product, phase discriminant, or phase code"),
+        "workers": (None, "accepted, must be >= 1; one array pass, same output for any count"),
+    }),
+    "ep-contour": ("exceptional-point contour polylines over a frequency window", {
+        **_RATES,
+        "omega_min": (0.18, "window low end, raw drive frequency"),
+        "omega_max": (2.2, "window high end"),
+        "samples": (2000, "frequency samples"),
+    }),
+    "floquet-ham": ("effective one-period generator components", {
+        **_RATES,
+        "gamma_av": (0.4, "average gain/loss rate"),
+        "omega": (2.0, "drive frequency, or sweep start with --omega-count > 1"),
+        "omega_max": (None, "sweep end frequency (required when --omega-count > 1)"),
+        "omega_count": (1, "number of frequencies"),
+    }),
+    "bloch-traj": ("post-selected Bloch trajectory with micromotion sampling", {
+        **_RATES,
+        "gamma_ratio": (1.0, "(1-p)*gamma/(p*j_av)"),
+        "omega_ratio": (2.5 * math.pi, "omega/(p*j_av)"),
+        "periods": (20, "number of drive periods"),
+        "substeps": (64, "samples per segment"),
+        "init": ("xyz", "initial state: 'xyz' (equal superposition of +x, -y, +z eigenstates) "
+                 "or 'THETA,PHI' Bloch angles in radians"),
+    }),
+    "two-qubit": ("coupled thermal-unitary pair: concurrence and entropies over time", {
+        "j": (0.5, "Rabi rate of the unitary qubit"),
+        "gamma": ([1.0], "gain rate; repeatable"),
+        "kx": ([1.0], "coupling strength; repeatable"),
+        "init": ("00", "initial state label: 00, bell, mixed, correlated"),
+        "t_max": (20.0, "final time, raw units, reported as j*t"),
+        "steps": (400, "time steps"),
+    }),
 }
+
+_DEFAULTS = {c: {k: d for k, (d, _) in keys.items() if d is not None} for c, (_, keys) in _COMMANDS.items()}
 
 #: Keys that every config section takes besides the command parameters;
 #: ``seed`` and ``workers`` stay unset unless given.
@@ -97,74 +122,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     def one_of(key):
-        return "{%s}" % ",".join(_CHOICES[key])
+        return "{%s}" % ",".join(_CHOICES[key]) if key in _CHOICES else None
 
-    def rates(p_):
-        p_.add_argument("--p", help="unitary fraction of the period (default 0.5)")
-        p_.add_argument("--j-av", help="average Rabi rate (default 1.0)")
-
-    def common(p_, command):
+    for command, (summary, keys) in _COMMANDS.items():
+        p_ = sub.add_parser(command, help=summary)
+        for key, (default, text) in keys.items():
+            if default is not None:
+                text += " (default %s)" % (",".join(map(str, default)) if isinstance(default, list) else default)
+            action = "append" if isinstance(default, list) else None
+            p_.add_argument("--" + key.replace("_", "-"), action=action, metavar=one_of(key), help=text)
         p_.add_argument("--config", help="INI config file; section [%s] supplies defaults" % command)
         p_.add_argument("--output", help=f"output file (default {command}.csv)")
         p_.add_argument("--format", metavar=one_of("format"), help="output format (default csv)")
         p_.add_argument("--seed", help="echoed into the output envelope; physics is deterministic")
-
-    p_pd = sub.add_parser(
-        "phase-diagram",
-        help="heat map of a PT-phase quantity over the dimensionless (gain, frequency) plane",
-    )
-    rates(p_pd)
-    p_pd.add_argument("--grid", help="cells as GAMMAxOMEGA, e.g. 400x400 (default)")
-    p_pd.add_argument("--gamma-min", help="gain axis low end, (1-p)*gamma/(p*j_av) units (default 0.01)")
-    p_pd.add_argument("--gamma-max", help="gain axis high end (default 10)")
-    p_pd.add_argument("--gamma-scale", metavar=one_of("gamma_scale"), help="gain axis spacing (default log)")
-    p_pd.add_argument("--omega-min", help="frequency axis low end, omega/(p*j_av) units (default 0.1)")
-    p_pd.add_argument("--omega-max", help="frequency axis high end (default 3)")
-    p_pd.add_argument("--omega-scale", metavar=one_of("omega_scale"), help="frequency axis spacing (default linear)")
-    p_pd.add_argument(
-        "--quantity",
-        metavar=one_of("quantity"),
-        help="cell quantity: eigenvector inner product, phase discriminant, or phase code (default inner-product)",
-    )
-    p_pd.add_argument("--workers", help="accepted, must be >= 1; one array pass, same output for any count")
-    common(p_pd, "phase-diagram")
-
-    p_ec = sub.add_parser("ep-contour", help="exceptional-point contour polylines over a frequency window")
-    rates(p_ec)
-    p_ec.add_argument("--omega-min", help="window low end, raw drive frequency (default 0.18)")
-    p_ec.add_argument("--omega-max", help="window high end (default 2.2)")
-    p_ec.add_argument("--samples", help="frequency samples (default 2000)")
-    common(p_ec, "ep-contour")
-
-    p_fh = sub.add_parser("floquet-ham", help="effective one-period generator components")
-    rates(p_fh)
-    p_fh.add_argument("--gamma-av", help="average gain/loss rate (default 0.4)")
-    p_fh.add_argument("--omega", help="drive frequency, or sweep start with --omega-count > 1 (default 2.0)")
-    p_fh.add_argument("--omega-max", help="sweep end frequency (required when --omega-count > 1)")
-    p_fh.add_argument("--omega-count", help="number of frequencies (default 1)")
-    common(p_fh, "floquet-ham")
-
-    p_bt = sub.add_parser("bloch-traj", help="post-selected Bloch trajectory with micromotion sampling")
-    rates(p_bt)
-    p_bt.add_argument("--gamma-ratio", help="(1-p)*gamma/(p*j_av) (default 1.0)")
-    p_bt.add_argument("--omega-ratio", help="omega/(p*j_av) (default 2.5*pi)")
-    p_bt.add_argument("--periods", help="number of drive periods (default 20)")
-    p_bt.add_argument("--substeps", help="samples per segment (default 64)")
-    p_bt.add_argument(
-        "--init",
-        help="initial state: 'xyz' (equal superposition of +x, -y, +z eigenstates, default) "
-        "or 'THETA,PHI' Bloch angles in radians",
-    )
-    common(p_bt, "bloch-traj")
-
-    p_tq = sub.add_parser("two-qubit", help="coupled thermal-unitary pair: concurrence and entropies over time")
-    p_tq.add_argument("--j", help="Rabi rate of the unitary qubit (default 0.5)")
-    p_tq.add_argument("--gamma", action="append", help="gain rate; repeatable (default 1.0)")
-    p_tq.add_argument("--kx", action="append", help="coupling strength; repeatable (default 1.0)")
-    p_tq.add_argument("--init", help="initial state label: 00, bell, mixed, correlated (default 00)")
-    p_tq.add_argument("--t-max", help="final time, raw units (reported as j*t; default 20)")
-    p_tq.add_argument("--steps", help="time steps (default 400)")
-    common(p_tq, "two-qubit")
 
     p_pr = sub.add_parser("preset", help="run a named figure-panel preset")
     p_pr.add_argument("name", choices=PRESET_NAMES, metavar="NAME", help=", ".join(PRESET_NAMES))

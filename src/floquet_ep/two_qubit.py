@@ -106,17 +106,26 @@ def hamiltonian_two_qubit(params: TwoQubitParams) -> np.ndarray:
 
 
 def _f0_cos(params: TwoQubitParams, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``f0 = sin(delta t)/delta`` (its series below |delta t| = 1e-4) and ``cos(delta t)``."""
+    """``f0 = sin(delta t)/delta`` (its series below |delta t| = 1e-4) and ``cos(delta t)``.
+
+    In the broken phase (kappa = Im delta > 0) both are divided by e^{kappa t}:
+    post-selection removes that overall scale, and without it they overflow.
+    """
+    kappa = params.delta.imag
     z = params.delta * ts
     small = np.abs(z) < 1e-4
-    zs, z2 = np.where(small, 1.0, z), z * z
-    f0 = np.where(small, ts * (1.0 - z2 / 6.0 + z2 * z2 / 120.0), ts * np.sin(zs) / zs)
-    return f0, np.cos(z)
+    zs, z2 = np.where(small, 1.0, z), np.where(small, z * z, 0.0)
+    series = ts * (1.0 - z2 / 6.0 + z2 * z2 / 120.0)
+    if kappa > 0:
+        f0 = np.where(small, series * np.exp(-kappa * ts), -np.expm1(-2 * kappa * ts) / (2 * kappa))
+        return f0, (1.0 + np.exp(-2 * kappa * ts)) / 2
+    return np.where(small, series, ts * np.sin(zs) / zs), np.cos(z)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow yields non-finite entries; callers check
 def _propagators(params: TwoQubitParams, ts: np.ndarray) -> np.ndarray:
-    """Closed-form propagators at every time in ``ts``, shape (n, 4, 4)."""
+    """Closed-form propagators at every time in ``ts``, shape (n, 4, 4); in
+    the broken phase divided by e^{kappa t}, as :func:`_f0_cos` is."""
     if np.any(ts < 0):
         raise ValueError("t must be non-negative")
     f0, cz = _f0_cos(params, ts)
@@ -137,7 +146,8 @@ def propagator_analytic(params: TwoQubitParams, t: float) -> np.ndarray:
     and the trig functions turn hyperbolic.  Continuous across the PT
     transition by construction.
     """
-    return _propagators(params, np.array([float(t)]))[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _propagators(params, np.array([float(t)]))[0] * np.exp(params.delta.imag * float(t))
 
 
 def validate_density(rho, herm_tol: float = 1e-11, trace_tol: float = 1e-11, psd_tol: float = 1e-10) -> np.ndarray:

@@ -1,9 +1,12 @@
+import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -172,6 +175,32 @@ class TestParseConfig:
         for key, options in _CHOICES.items():
             if key in _FLAG_KEYS[command]:
                 assert "{%s}" % ",".join(options) in text
+
+    @pytest.mark.parametrize("command", sorted(_DEFAULTS))
+    def test_help_prints_each_default(self, command, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--help"])
+        entries = re.split(r"\n  (?=--)", capsys.readouterr().out)[1:]
+        help_of = {e.split()[0]: " ".join(e.split()) for e in entries}
+        for key, default in _DEFAULTS[command].items():
+            shown = ",".join(map(str, default)) if isinstance(default, list) else str(default)
+            assert help_of["--" + key.replace("_", "-")].endswith(f"(default {shown})")
+
+
+def test_perfbench_mirrors_the_cli_defaults(monkeypatch):
+    """perfbench/workloads.py keeps its own copy of the defaults, with the
+    grid as a tuple and the unset keys as None; it must not drift."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    mirror = {
+        command: {k: "x".join(map(str, v)) if isinstance(v, tuple) else v for k, v in keys.items() if v is not None}
+        for command, keys in workloads.DEFAULTS.items()
+    }
+    assert mirror == _DEFAULTS
 
 
 _TEXT = st.one_of(

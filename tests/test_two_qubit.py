@@ -3,8 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from floquet_ep.cli import main
+from floquet_ep.envelope import parse_csv
 from floquet_ep.floquet import PhaseKind
 from floquet_ep.linalg import IDENTITY_2, PAULI_X, PAULI_Z, eig, expm, kron
 from floquet_ep.two_qubit import (
@@ -332,17 +335,72 @@ class TestTimeseries:
         assert np.abs(got - want).max() <= 1e-12
 
     @pytest.mark.parametrize("gamma,t_max", [("3", "200"), ("1e3", "50")])
-    def test_overflow_is_a_clean_runtime_error(self, gamma, t_max, tmp_path, capsys):
+    def test_strong_gain_long_time_is_finite(self, gamma, t_max, tmp_path):
+        out = tmp_path / "pair.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            status = main(["two-qubit", "--gamma", gamma, "--kx", "1", "--t-max", t_max,
-                           "--output", str(tmp_path / "pair.csv")])
-        assert status == 1
-        assert capsys.readouterr().err == "error: propagated trace inf is not a positive finite number\n"
+            status = main(["two-qubit", "--gamma", gamma, "--kx", "1", "--t-max", t_max, "--output", str(out)])
+        assert status == 0
+        headers, cols = parse_csv(out.read_text())
+        got = cols[headers.index("concurrence [dimensionless]")]
+        params = TwoQubitParams(j=0.5, gamma=float(gamma), kx=1.0)
+        want = [concurrence_closed_form_00(params, t) for t in np.linspace(0.0, float(t_max), 401)]
+        assert np.abs(np.subtract(got, want)).max() <= 1e-8
+        assert got[-1] == pytest.approx(params.kx / params.gamma, abs=1e-8)
 
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):
             entanglement_timeseries(ground_density(), SYMMETRIC, [0.0, 0.0, 1.0])
+
+
+_RATE = st.floats(0.0, 1e3)
+
+
+class TestPairProperties:
+    """Invariants at any gain and time: the scale-free propagator keeps every
+    post-selected quantity finite."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(j=st.floats(0.0, 10.0), gamma=_RATE, kx=_RATE, t_max=st.floats(1e-3, 1e4),
+           label=st.sampled_from(["00", "bell", "mixed", "correlated"]))
+    def test_timeseries_finite_and_bounded(self, j, gamma, kx, t_max, label):
+        params = TwoQubitParams(j=j, gamma=gamma, kx=kx)
+        records = entanglement_timeseries(density_from_label(label), params, np.linspace(0.0, t_max, 17))
+        values = np.array([[r.concurrence, r.entropy_unitary, r.entropy_thermal] for r in records])
+        assert np.all(np.isfinite(values))
+        assert values.min() >= 0.0 and values.max() <= 1.0 + 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(gamma=_RATE, kx=_RATE, t=st.floats(0.0, 1e4))
+    def test_closed_form_finite(self, gamma, kx, t):
+        c = concurrence_closed_form_00(TwoQubitParams(j=0.5, gamma=gamma, kx=kx), t)
+        assert math.isfinite(c) and 0.0 <= c <= 1.0 + 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(gamma=st.floats(1e-2, 1e3), kx=st.floats(1e-2, 1e3))
+    def test_broken_phase_converges_to_steady_state(self, gamma, kx):
+        params = TwoQubitParams(j=0.5, gamma=gamma, kx=kx)
+        assume(params.phase() is PhaseKind.PT_BROKEN and abs(params.delta) * 1e4 >= 20)
+        t = 20 / abs(params.delta)
+        steady = steady_state_concurrence(params)
+        assert concurrence_closed_form_00(params, t) == pytest.approx(steady, abs=1e-9)
+        records = entanglement_timeseries(ground_density(), params, [t / 2, t])
+        assert records[-1].concurrence == pytest.approx(steady, abs=1e-7)
+
+
+def test_entanglement_is_maximal_at_the_ep():
+    """The paper's headline: from |00> at j = 0.5, kx = 1, the late-time
+    concurrence and both reduced entropies are largest at gamma = kx, and
+    maximal there."""
+    t_grid = np.linspace(0.0, 200.0, 4001)
+    late = {}
+    for ratio in (0.5, 0.95, 1.0, 1.05, 2.0, 5.0):
+        records = entanglement_timeseries(ground_density(), TwoQubitParams(j=0.5, gamma=ratio, kx=1.0), t_grid)
+        tail = records[-len(records) // 10 :]
+        late[ratio] = np.mean([[r.concurrence, r.entropy_unitary, r.entropy_thermal] for r in tail], axis=0)
+    for k in range(3):
+        assert max(late, key=lambda ratio: late[ratio][k]) == 1.0
+        assert late[1.0][k] == pytest.approx(1.0, abs=1e-3)
 
 
 class TestInitialStates:
