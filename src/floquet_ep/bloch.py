@@ -131,17 +131,19 @@ def _period_samples(params: FloquetParams, sub: int):
     overflow at strong gain.
     """
     k = np.arange(1, sub + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, g = params.drive_area * k / sub, params.gain_area * k / sub
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(g))):
+        raise ValueError("drive or gain area is not finite")
     maps, tags, offsets = [], [], []
     u_full = np.eye(2)
     if params.tau > 0:
-        a = params.drive_area * k / sub
         c, s = np.cos(a), -1j * np.sin(a)
         maps.append(np.stack([c, s, s, c], axis=-1).reshape(sub, 2, 2))
         u_full = maps[0][-1]
         tags += [SegmentKind.UNITARY] * sub
         offsets.append(params.p * k / sub)
     if params.beta > 0:
-        g = params.gain_area * k / sub
         scale = np.stack([np.exp(g - np.abs(g)), np.exp(-g - np.abs(g))], axis=-1)
         maps.append(scale[:, :, None] * u_full)
         tags += [SegmentKind.THERMAL] * sub

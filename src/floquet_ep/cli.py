@@ -92,8 +92,8 @@ _COMMANDS: dict[str, tuple[str, dict]] = {
 _DEFAULTS = {c: {k: d for k, (d, _) in keys.items() if d is not None} for c, (_, keys) in _COMMANDS.items()}
 
 #: Keys that every config section takes besides the command parameters;
-#: ``seed`` and ``workers`` stay unset unless given.
-_RUN_KEYS = ("output", "format", "seed", "workers")
+#: ``seed`` stays unset unless given.
+_RUN_KEYS = ("output", "format", "seed")
 
 #: Type exemplars for the keys that have no default value.
 _UNSET_LIKE = {"seed": 0, "workers": 0, "omega_max": 0.0}
@@ -219,9 +219,9 @@ def _validate(command: str, values: dict) -> dict:
         _require(min(p["grid"]) >= 2, "grid", "both cell counts must be >= 2")
         _require(p["gamma_min"] < p["gamma_max"], "gamma_min", "gain axis needs min < max")
         _require(p["omega_min"] < p["omega_max"], "omega_min", "frequency axis needs min < max")
-        for axis in ("gamma", "omega"):
-            if p[f"{axis}_scale"] == "log":
-                _require(p[f"{axis}_min"] > 0, f"{axis}_min", "log axis needs min > 0")
+        _require(p["omega_min"] > 0, "omega_min", "must be positive")
+        if p["gamma_scale"] == "log":
+            _require(p["gamma_min"] > 0, "gamma_min", "log axis needs min > 0")
     elif command == "ep-contour":
         _require(p["omega_min"] > 0, "omega_min", "must be positive")
         _require(p["omega_max"] > p["omega_min"], "omega_max", "must exceed omega_min")
@@ -275,15 +275,15 @@ def parse_config(argv=None) -> RunConfig:
         command, overrides = PRESETS[name]
         merged = {"output": f"{name}.csv", **overrides}
     if config is not None:
-        merged.update(_read_config_file(config, command, {*args, *_RUN_KEYS}))
+        merged.update(_read_config_file(config, command, set(args)))
     p = _validate(command, {**_base(command), **merged, **flags})
+    p.pop("workers", None)  # checked, but one array pass gives the same output for any count
     return RunConfig(
         command=command,
         parameters={k: v for k, v in p.items() if k not in _RUN_KEYS},
         output_path=p["output"],
         format=p["format"],
         seed=p.get("seed"),
-        workers=p.get("workers"),
     )
 
 
@@ -295,7 +295,7 @@ def _run_phase_diagram(cfg: RunConfig) -> list[Column]:
         p=p["p"],
         j_av=p["j_av"],
     )
-    hm = compute_heatmap(grid, Quantity(p["quantity"]), workers=cfg.workers)
+    hm = compute_heatmap(grid, Quantity(p["quantity"]))
     n_gamma, n_omega = hm.values.shape
     qname = p["quantity"].replace("-", "_")
     return [
@@ -309,18 +309,15 @@ def _run_ep_contour(cfg: RunConfig) -> list[Column]:
     p = cfg.parameters
     contours = trace_contours(p["p"], p["j_av"], (p["omega_min"], p["omega_max"]), p["samples"])
     pj = p["p"] * p["j_av"]
-    cols = {name: [] for name in ("branch", "interval_k", "omega", "gamma_av", "omega_ratio", "gamma_ratio")}
-    for branch in contours.branches:
-        for gamma, omega in branch.points:
-            cols["branch"].append(float(branch.branch))
-            cols["interval_k"].append(float(branch.resonance_index))
-            cols["omega"].append(omega)
-            cols["gamma_av"].append(gamma)
-            cols["omega_ratio"].append(omega / pj)
-            cols["gamma_ratio"].append((1 - p["p"]) * gamma / pj)
-    units = {"branch": "sign", "interval_k": "index", "omega": "rad/time", "gamma_av": "1/time",
-             "omega_ratio": "dimensionless", "gamma_ratio": "dimensionless"}
-    return [Column(name, units[name], vals) for name, vals in cols.items()]
+    rows = [(b.branch, b.resonance_index, omega, gamma) for b in contours.branches for gamma, omega in b.points]
+    cols = np.array(rows, dtype=float).reshape(-1, 4).T
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        cols = np.vstack([cols, cols[2] / pj, (1 - p["p"]) * cols[3] / pj])
+    if not np.all(np.isfinite(cols)):
+        raise ValueError("a contour value is not finite: p*j_av or the thermal segment is too small")
+    names = ("branch", "interval_k", "omega", "gamma_av", "omega_ratio", "gamma_ratio")
+    units = ("sign", "index", "rad/time", "1/time", "dimensionless", "dimensionless")
+    return [Column(name, unit, vals) for name, unit, vals in zip(names, units, cols.tolist())]
 
 
 def _run_floquet_ham(cfg: RunConfig) -> list[Column]:
@@ -333,9 +330,9 @@ def _run_floquet_ham(cfg: RunConfig) -> list[Column]:
         T = 2 * math.pi / omega
         drive_area = p["j_av"] * (p["p"] * T)
         gain_area = p["gamma_av"] * ((1 - p["p"]) * T)
-    if not (np.all(np.isfinite(drive_area)) and np.all(np.isfinite(gain_area))):
-        raise ValueError(f"drive or gain area is not finite at omega = {omega.min():g}")
-    h0, hx, hy, hz, on_contour = _generator(drive_area, gain_area, T)
+        h0, hx, hy, hz, on_contour = _generator(drive_area, gain_area, T)
+    if not all(np.all(np.isfinite(x)) for x in (drive_area, gain_area, hx, hy, hz)):
+        raise ValueError(f"drive or gain area or generator is not finite, omega in [{omega[0]:g}, {omega[-1]:g}]")
     cols = [Column("omega", "rad/time", omega.tolist())]
     for name, h in (("h0", h0), ("hx", hx), ("hy", hy), ("hz", hz)):
         cols += [Column(f"{name}_re", "1/time", h.real.tolist()), Column(f"{name}_im", "1/time", h.imag.tolist())]
@@ -408,8 +405,8 @@ def main(argv=None) -> int:
     try:
         envelope = run(config)
         path = write_result(envelope)
-    except (OSError, NumericsError, ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, NumericsError, ValueError, ArithmeticError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     n_rows = len(envelope.columns[0].values) if envelope.columns else 0
     print(f"wrote {path} ({n_rows} rows, {len(envelope.columns)} columns)")

@@ -51,20 +51,14 @@ class Column:
 @dataclass
 class RunConfig:
     """Fully validated run request: one command, its parameter map, and
-    where/how to write the result.
-
-    ``workers`` is accepted and validated (>= 1), but every kernel is one
-    array pass on one thread, so it changes nothing; it never enters the
-    serialized result, which is identical for any worker count.  The same
-    goes for ``output_path``.
-    """
+    where/how to write the result; ``output_path`` never enters the
+    serialized result."""
 
     command: str
     parameters: dict
     output_path: str
     format: str = "csv"
     seed: int | None = None
-    workers: int | None = None
 
     def __post_init__(self):
         if self.format not in FORMATS:

@@ -270,10 +270,10 @@ CONTOUR_TOL = 1e-8
 _SERIES_D = 1e-4  # below this |discriminant|, the series of asinh(r)/r
 
 
-def _generator(drive_area, gain_area, T, tol: float = CONTOUR_TOL):
+def _generator(drive_area, gain_area, T):
     """Effective generator ``(h0, hx, hy, hz, on_contour)`` of the one-period
-    map at any gain; scalars or arrays, ``on_contour`` is ``|d| <= tol`` for
-    the discriminant d.
+    map at any gain; scalars or arrays, ``on_contour`` is ``|d| <= CONTOUR_TOL``
+    for the discriminant d.
 
     Over cosh g, ``G = e^{g sz} e^{-i a sx}`` is ``cos a + u.sigma`` with
     ``u = (-i sin a, sin a tanh g, cos a tanh g)``, ``u.u = rho^2 = d/cosh^2 g``.
@@ -282,12 +282,12 @@ def _generator(drive_area, gain_area, T, tol: float = CONTOUR_TOL):
     ``atan2(|rho|, s cos a) / |rho|`` for rho imaginary, and the series of
     asinh(r)/r for small |d| where ``s cos a > 0``.  Zone rule of the matrix
     log, quasienergies in ``(-omega/2, omega/2]``: ``s = -1``, ``h0 = pi/T``
-    where ``cos a < 0`` and ``d >= -tol``; else ``s = 1``, ``h0 = 0``.
+    where ``cos a < 0`` and ``d >= -CONTOUR_TOL``; else ``s = 1``, ``h0 = 0``.
     """
     c, sin_a, ag = np.cos(drive_area), np.sin(drive_area), np.abs(gain_area)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         d = _discriminant(drive_area, gain_area)
-        sign = np.where((c < 0) & (d >= -tol), -1.0, 1.0)
+        sign = np.where((c < 0) & (d >= -CONTOUR_TOL), -1.0, 1.0)
         sc = sign * c
         e2 = np.exp(-2 * ag)
         sech = 2 * np.exp(-ag) / (1 + e2)
@@ -300,9 +300,9 @@ def _generator(drive_area, gain_area, T, tol: float = CONTOUR_TOL):
             np.where(rho2 > 0, (log_cosh + np.log(sc + rho)) / rho, np.arctan2(rho, sc) / rho),
         )
         k = sign * ratio / T
-    tanh_g = np.tanh(gain_area)
-    h0 = np.where(sign < 0, math.pi / T, 0.0)
-    return h0, k * sin_a, 1j * (k * sin_a * tanh_g), 1j * (k * c * tanh_g), np.abs(d) <= tol
+        tanh_g = np.tanh(gain_area)
+        h0 = np.where(sign < 0, math.pi / T, 0.0)
+        return h0, k * sin_a, 1j * (k * sin_a * tanh_g), 1j * (k * c * tanh_g), np.abs(d) <= CONTOUR_TOL
 
 
 def _phase_code(d, tol: float = PHASE_TOL):
@@ -316,7 +316,7 @@ def _eigenvector_overlap(drive_area, gain_area):
     map is Hermitian and its eigenvectors orthogonal."""
     s = np.sin(drive_area)
     th = np.tanh(gain_area)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         r = np.abs(s / th)
         overlap = np.minimum(r, 1.0 / r)
     return np.where((np.abs(s) < RESONANCE_TOL) | (th == 0.0), 0.0, overlap)
@@ -418,12 +418,6 @@ def ep_gamma_high_frequency(p: float, j_av: float) -> float:
     return p * j_av / (1 - p)
 
 
-def _hamiltonian(params: FloquetParams, tol: float) -> FloquetHamiltonian:
-    h0, hx, hy, hz, on_contour = _generator(params.drive_area, params.gain_area, params.T, tol)
-    dec = PauliDecomposition(complex(h0), np.array([hx, hy, hz], dtype=complex))
-    return FloquetHamiltonian(decomposition=dec, on_contour=bool(on_contour))
-
-
 def floquet_hamiltonian(params: FloquetParams) -> FloquetHamiltonian:
     """Effective static generator H of the one-period map, ``exp(-i T H) = G``.
 
@@ -432,12 +426,14 @@ def floquet_hamiltonian(params: FloquetParams) -> FloquetHamiltonian:
     EP.  It reproduces the principal matrix log
     (:func:`~floquet_ep.linalg.logm_2x2`) wherever that is well conditioned;
     h0 is 0, or omega/2 where the half-trace is negative outside the
-    PT-symmetric phase.  ``on_contour`` flags ``|discriminant| <= 1e-8``.
+    PT-symmetric phase.  ``on_contour`` flags ``|discriminant| <= CONTOUR_TOL``.
     """
-    return _hamiltonian(params, CONTOUR_TOL)
+    h0, hx, hy, hz, on_contour = _generator(params.drive_area, params.gain_area, params.T)
+    dec = PauliDecomposition(complex(h0), np.array([hx, hy, hz], dtype=complex))
+    return FloquetHamiltonian(decomposition=dec, on_contour=bool(on_contour))
 
 
-def floquet_hamiltonian_on_contour(params: FloquetParams, tol: float = CONTOUR_TOL) -> FloquetHamiltonian:
+def floquet_hamiltonian_on_contour(params: FloquetParams) -> FloquetHamiltonian:
     """Effective generator on an exceptional contour.
 
     There the generator squares to a scalar, the exponential series for the
@@ -454,13 +450,12 @@ def floquet_hamiltonian_on_contour(params: FloquetParams, tol: float = CONTOUR_T
     generator continuously between a gain-loss dimer (hz dominant, at
     resonances) and asymmetric-tunneling (Hatano-Nelson) form (hy, hx
     dominant, at the nodes).  It is :func:`floquet_hamiltonian` with the
-    contour band ``|discriminant| <= tol``; off that band it raises ValueError.
+    contour band ``|discriminant| <= CONTOUR_TOL``; off that band it raises ValueError.
     """
-    ham = _hamiltonian(params, tol)
+    ham = floquet_hamiltonian(params)
     if not ham.on_contour:
-        raise ValueError(
-            f"parameters are off the exceptional contour (discriminant {discriminant(params):.3e}, tol {tol:.1e})"
-        )
+        d = discriminant(params)
+        raise ValueError(f"parameters are off the exceptional contour (discriminant {d:.3e}, tol {CONTOUR_TOL:.1e})")
     return ham
 
 

@@ -103,28 +103,24 @@ class HeatMap:
         return self.grid.omega_axis.values()
 
 
-def compute_heatmap(grid: GridSpec, quantity: Quantity, workers: int | None = None) -> HeatMap:
+def compute_heatmap(grid: GridSpec, quantity: Quantity) -> HeatMap:
     """Evaluate one quantity over the grid in a single array pass.
 
     The gain axis is broadcast as a column against the frequency axis as a
     row; the drive and gain areas use the float operations of
-    :meth:`FloquetParams.from_dimensionless`.  ``workers`` (default 1) must
-    be >= 1 and is otherwise unused: there is one code path, so the result
-    is identical for every worker count.
+    :meth:`FloquetParams.from_dimensionless`.
     """
-    if workers is not None and workers < 1:
-        raise ValueError("worker count must be >= 1")
     p, j_av, pj = grid.p, grid.j_av, grid.p * grid.j_av
-    omega = grid.omega_axis.values()[np.newaxis, :] * pj
-    if not np.all(omega > 0):
-        raise ValueError(f"omega must be positive, got {omega.min()}")
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        omega = grid.omega_axis.values()[np.newaxis, :] * pj
         gamma_av = grid.gamma_axis.values()[:, np.newaxis] * pj / (1 - p)
         T = 2 * math.pi / omega
         drive_area = j_av * (p * T)
         gain_area = gamma_av * ((1 - p) * T)
-    if not np.all(np.isfinite(drive_area)):
-        raise ValueError("drive area overflows on this grid")
+    if not np.all(omega > 0):
+        raise ValueError(f"omega must be positive, got {omega.min()}")
+    if not all(np.all(np.isfinite(x)) for x in (omega, drive_area, gain_area)):
+        raise ValueError("frequency, drive area or gain area is not finite on this grid")
     if quantity is Quantity.INNER_PRODUCT:
         values = _eigenvector_overlap(drive_area, gain_area)
     else:
@@ -166,10 +162,14 @@ def trace_contours(p: float, j_av: float, omega_range: tuple[float, float], n_sa
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
     pj = p * j_av
+    omegas = np.linspace(lo, hi, n_samples)
+    with np.errstate(over="ignore"):
+        intervals, drive_area = np.floor(2 * pj / omegas), j_av * (p * (2 * math.pi / omegas))
+    if not (np.all(np.isfinite(intervals)) and np.all(np.isfinite(drive_area))):
+        raise ValueError(f"drive area is not finite at omega = {lo:g}")
     groups: dict[tuple[int, int], ContourBranch] = {}
-    for omega in np.linspace(lo, hi, n_samples):
-        params = FloquetParams.from_omega(p, float(omega), j_av, 0.0)
-        k_interval = int(math.floor(2 * pj / omega))
+    for omega, k_interval in zip(omegas.tolist(), map(int, intervals.tolist())):
+        params = FloquetParams.from_omega(p, omega, j_av, 0.0)
         for branch in (1, -1):
             gamma = ep_contour_gamma(params, branch)
             if gamma is None:
@@ -177,7 +177,7 @@ def trace_contours(p: float, j_av: float, omega_range: tuple[float, float], n_sa
             key = (branch, k_interval)
             if key not in groups:
                 groups[key] = ContourBranch(branch=branch, resonance_index=k_interval)
-            groups[key].points.append((gamma, float(omega)))
+            groups[key].points.append((gamma, omega))
     ordered = sorted(groups.values(), key=lambda b: (b.resonance_index, -b.branch))
     return ContourSet(branches=ordered)
 

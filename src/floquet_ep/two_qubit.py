@@ -150,17 +150,17 @@ def propagator_analytic(params: TwoQubitParams, t: float) -> np.ndarray:
         return _propagators(params, np.array([float(t)]))[0] * np.exp(params.delta.imag * float(t))
 
 
-def validate_density(rho, herm_tol: float = 1e-11, trace_tol: float = 1e-11, psd_tol: float = 1e-10) -> np.ndarray:
-    """Check Hermiticity, unit trace and positivity (up to tolerance);
+def validate_density(rho) -> np.ndarray:
+    """Check Hermiticity and unit trace to 1e-11 and positivity to -1e-10;
     returns the matrix as a complex ndarray."""
     a = np.asarray(rho, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] not in (2, 4):
         raise ValueError(f"density matrix must be 2x2 or 4x4, got shape {a.shape}")
-    if np.abs(a - a.conj().T).max() > herm_tol:
+    if np.abs(a - a.conj().T).max() > 1e-11:
         raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(a).real - 1.0) > trace_tol or abs(np.trace(a).imag) > trace_tol:
+    if abs(np.trace(a).real - 1.0) > 1e-11 or abs(np.trace(a).imag) > 1e-11:
         raise ValueError("density matrix trace is not 1")
-    if np.linalg.eigvalsh(a).min() < -psd_tol:
+    if np.linalg.eigvalsh(a).min() < -1e-10:
         raise ValueError("density matrix has a significantly negative eigenvalue")
     return a
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from floquet_ep.cli import _CHOICES, _DEFAULTS, _RUN_KEYS, UsageError, build_parser, main, parse_config, run
@@ -96,9 +96,9 @@ class TestParseConfig:
 
     def test_config_file_run_keys(self, tmp_path):
         ini = tmp_path / "run.ini"
-        ini.write_text("[two-qubit]\nseed = 7\nworkers = 2\nformat = json\noutput = pair.json\n")
-        cfg = parse_config(["two-qubit", "--config", str(ini), "--format", "csv"])
-        assert (cfg.seed, cfg.workers, cfg.format, cfg.output_path) == (7, 2, "csv", "pair.json")
+        ini.write_text("[phase-diagram]\nseed = 7\nworkers = 2\nformat = json\noutput = pd.json\n")
+        cfg = parse_config(["phase-diagram", "--config", str(ini), "--format", "csv"])
+        assert (cfg.seed, cfg.format, cfg.output_path) == (7, "csv", "pd.json")
         assert "seed" not in cfg.parameters and "workers" not in cfg.parameters
 
     @pytest.mark.parametrize(
@@ -130,6 +130,9 @@ class TestParseConfig:
             (["bloch-traj"], "[bloch-traj]\ninit = 1.0,x\n", None, "init"),
             (["phase-diagram"], "[phase-diagram]\ngrid = 3x3x3\n", None, "grid"),
             (["--output", "x.csv", "two-qubit"], None, None, "--output must follow the command"),
+            (["two-qubit"], "[two-qubit]\nworkers = 2\n", None, "unknown key 'workers'"),
+            (["phase-diagram", "--grid", "3x3", "--omega-min", "0"], None, None, "omega_min"),
+            (["phase-diagram", "--grid", "3x3", "--omega-min", "-1", "--omega-max", "1"], None, None, "omega_min"),
         ],
     )
     def test_bad_input_is_usage_error(self, argv, ini, workers, fragment, tmp_path, capsys):
@@ -211,8 +214,9 @@ _TEXT = st.one_of(
 )
 
 
+# ``workers`` is a key of [phase-diagram] only; in every other section it is a usage error
 @pytest.mark.parametrize(
-    "command,key", [(c, k) for c, keys in _FLAG_KEYS.items() for k in dict.fromkeys((*keys, *_RUN_KEYS))]
+    "command,key", [(c, k) for c, keys in _FLAG_KEYS.items() for k in dict.fromkeys((*keys, *_RUN_KEYS, "workers"))]
 )
 @settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=_TEXT)
@@ -253,7 +257,7 @@ class TestPresets:
             cfg = figure_preset(name)
             assert cfg.command in ("phase-diagram", "ep-contour", "bloch-traj", "two-qubit")
             assert set(cfg.parameters) == set(_DEFAULTS[cfg.command])
-            assert (cfg.output_path, cfg.format, cfg.seed, cfg.workers) == (f"{name}.csv", "csv", None, None)
+            assert (cfg.output_path, cfg.format, cfg.seed) == (f"{name}.csv", "csv", None)
 
     def test_unknown_preset_raises(self):
         with pytest.raises(ValueError):
@@ -545,6 +549,70 @@ class TestNumericEdges:
         assert np.all(np.isfinite(disc) | saturated)
         assert saturated.sum() == 148
         assert np.all(phase[saturated] == 1.0)
+
+    def test_out_of_memory_is_a_clean_runtime_error(self, tmp_path, capsys):
+        # the frequency column alone would take about 700 PiB, so the allocation fails at once
+        out = tmp_path / "fh.csv"
+        argv = ["floquet-ham", "--omega", "2", "--omega-max", "3", "--omega-count", str(10**17)]
+        assert main(argv + ["--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+
+#: every float flag of each command, and sizes that keep each run small
+_FLOAT_FLAGS = {
+    c: [k for k, v in d.items() if isinstance(v, (float, list))] + (["omega_max"] if c == "floquet-ham" else [])
+    for c, d in _DEFAULTS.items()
+}
+_SMALL = {
+    "phase-diagram": ["--grid", "3x3"],
+    "ep-contour": ["--samples", "3"],
+    "floquet-ham": ["--omega-count", "3"],
+    "bloch-traj": ["--periods", "2", "--substeps", "2"],
+    "two-qubit": ["--steps", "3"],
+}
+#: zero, the smallest subnormal, a subnormal, about the root of the largest double, near the largest double
+_EXTREMES = st.sampled_from([0.0, 5e-324, -5e-324, 1e-310, 1e154, 1.7e308, -1.7e308, 0.5, 1.0])
+
+
+@st.composite
+def _extreme_argv(draw):
+    command = draw(st.sampled_from(sorted(_SMALL)))
+    keys = draw(st.lists(st.sampled_from(_FLOAT_FLAGS[command]), min_size=1, max_size=3, unique=True))
+    argv = [command, *_SMALL[command], *(f"--{k.replace('_', '-')}={draw(_EXTREMES)!r}" for k in keys)]
+    if command == "phase-diagram":
+        argv += ["--quantity", draw(st.sampled_from(_CHOICES["quantity"]))]
+    return argv
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_extreme_argv())  # the examples are inputs that once ended in a numpy warning or an inf
+@example(argv=["bloch-traj", "--periods", "2", "--substeps", "2", "--gamma-ratio", "1.7e308"])
+@example(argv=["bloch-traj", "--periods", "2", "--substeps", "2", "--gamma-ratio", "1e-310", "--j-av", "1e-310"])
+@example(argv=["ep-contour", "--samples", "3", "--omega-min", "5e-324"])
+@example(argv=["ep-contour", "--samples", "3", "--p", "5e-324", "--omega-max", "3.14159"])
+@example(argv=["phase-diagram", "--grid", "3x3", "--gamma-min", "5e-324", "--j-av", "2"])
+@example(argv=["phase-diagram", "--grid", "3x3", "--j-av", "1e300", "--omega-min", "2", "--omega-max", "1e300"])
+def test_extreme_values_end_in_a_finite_result_or_one_error_line(argv, tmp_path, capsys):
+    """Run ``main`` with warnings as errors: a failure is one ``error:`` line
+    and no file, a success writes finite numbers, apart from a saturated
+    (+inf) discriminant."""
+    out = tmp_path / "out.csv"
+    out.unlink(missing_ok=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv + ["--output", str(out)])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    if code:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not out.exists()
+        return
+    for header, col in zip(*parse_csv(out.read_text())):
+        saturates = header.startswith("discriminant ")
+        numbers = [v for v in col if isinstance(v, float)]
+        assert all(math.isfinite(v) or (saturates and v == math.inf) for v in numbers), header
 
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")

@@ -107,13 +107,6 @@ class TestHeatmap:
         hm = compute_heatmap(small_grid(n_gamma=80), Quantity.DISCRIMINANT)
         assert hm.values.min() < 0 < hm.values.max()
 
-    def test_deterministic_across_worker_counts(self):
-        grid = small_grid(n_gamma=30, n_omega=8)
-        serial = compute_heatmap(grid, Quantity.INNER_PRODUCT, workers=1)
-        for workers in (2, 4):
-            parallel = compute_heatmap(grid, Quantity.INNER_PRODUCT, workers=workers)
-            assert np.array_equal(serial.values, parallel.values)
-
 
 PHASE_CODES = {PhaseKind.PT_SYMMETRIC: -1.0, PhaseKind.EXCEPTIONAL_POINT: 0.0, PhaseKind.PT_BROKEN: 1.0}
 
@@ -175,10 +168,6 @@ class TestHeatmapKernel:
         grid = GridSpec(AxisSpec(0.1, 1.0, 3), AxisSpec(omega_lo, 1.0, 3))
         with pytest.raises(ValueError, match=message):
             compute_heatmap(grid, Quantity.PHASE)
-
-    def test_workers_validated(self):
-        with pytest.raises(ValueError):
-            compute_heatmap(RESONANCE_GRID, Quantity.PHASE, workers=0)
 
 
 class TestGainSignSymmetry:
