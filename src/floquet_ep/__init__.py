@@ -9,7 +9,8 @@ Core surfaces:
 - :mod:`floquet_ep.two_qubit` -- coupled thermal/unitary pair: propagator,
   concurrence, entropies.
 - :mod:`floquet_ep.sweep` -- phase-diagram grids (one array pass) and contour traces.
-- :mod:`floquet_ep.cli` -- the ``floquet-ep`` command-line front end.
+- :mod:`floquet_ep.args`, :mod:`floquet_ep.cli` -- the ``floquet-ep`` command line:
+  its numpy-free front end (flags, validation, ``main``) and its run layer.
 
 The names in ``__all__`` load their submodule on first access, so ``import floquet_ep``
 alone does not import numpy.

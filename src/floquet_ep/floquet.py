@@ -421,15 +421,18 @@ def ep_gamma_high_frequency(p: float, j_av: float) -> float:
 def floquet_hamiltonian(params: FloquetParams) -> FloquetHamiltonian:
     """Effective static generator H of the one-period map, ``exp(-i T H) = G``.
 
-    Finite at every point and any gain, exceptional contours included: the
-    closed form never forms G, so it neither overflows nor raises near an
-    EP.  It reproduces the principal matrix log
-    (:func:`~floquet_ep.linalg.logm_2x2`) wherever that is well conditioned;
-    h0 is 0, or omega/2 where the half-trace is negative outside the
-    PT-symmetric phase.  ``on_contour`` flags ``|discriminant| <= CONTOUR_TOL``.
+    The closed form never forms G: it is finite on and near an EP, and at any
+    gain where the components, of size about ``|gain_area| / T``, fit a double;
+    where they overflow it raises ValueError.  It reproduces the principal
+    matrix log (:func:`~floquet_ep.linalg.logm_2x2`) where that is well
+    conditioned; h0 is 0, or omega/2 where the half-trace is negative outside
+    the PT-symmetric phase.  ``on_contour`` flags ``|discriminant| <= CONTOUR_TOL``.
     """
     h0, hx, hy, hz, on_contour = _generator(params.drive_area, params.gain_area, params.T)
-    dec = PauliDecomposition(complex(h0), np.array([hx, hy, hz], dtype=complex))
+    vector = np.array([hx, hy, hz], dtype=complex)
+    if not np.all(np.isfinite(vector)):
+        raise ValueError(f"generator is not finite at gain area {params.gain_area:g}, T {params.T:g}")
+    dec = PauliDecomposition(complex(h0), vector)
     return FloquetHamiltonian(decomposition=dec, on_contour=bool(on_contour))
 
 
@@ -446,11 +449,16 @@ def floquet_hamiltonian_on_contour(params: FloquetParams) -> FloquetHamiltonian:
     to first order in the discriminant, so the map reconstructs as
     ``+-(I - i T h.sigma)``.  The sign is carried by h0: 0 for a positive
     half-trace, else pi/T = omega/2, the included end of the zone
-    ``(-omega/2, omega/2]``.  The ratio hy/hz = tan(drive_area) tunes the
-    generator continuously between a gain-loss dimer (hz dominant, at
-    resonances) and asymmetric-tunneling (Hatano-Nelson) form (hy, hx
-    dominant, at the nodes).  It is :func:`floquet_hamiltonian` with the
-    contour band ``|discriminant| <= CONTOUR_TOL``; off that band it raises ValueError.
+    ``(-omega/2, omega/2]``.
+
+    On and off the contours the generator is a quantum Hatano-Nelson dimer
+    [Hatano & Nelson, PRL 77, 570 (1996)] with tunnelling amplitudes
+    ``hx -+ i hy``: their ratio ``|hx - i hy| / |hx + i hy| = e^{2 gain_area}``
+    is set by the gain alone, and the on-site term over the tunnelling,
+    ``|hz| / sqrt|(hx - i hy)(hx + i hy)| = |sinh(gain_area) / tan(drive_area)|``,
+    vanishes at the nodes ``cos(drive_area) = 0``: pure asymmetric tunnelling.
+    It is :func:`floquet_hamiltonian` with the contour band
+    ``|discriminant| <= CONTOUR_TOL``; off that band it raises ValueError.
     """
     ham = floquet_hamiltonian(params)
     if not ham.on_contour:
@@ -460,20 +468,16 @@ def floquet_hamiltonian_on_contour(params: FloquetParams) -> FloquetHamiltonian:
 
 
 def dp_proximity(params: FloquetParams) -> tuple[float, float]:
-    """Eigenvalues of (one-period map)^dagger (one-period map), descending.
+    """Eigenvalues of (one-period map)^dagger (one-period map), descending:
+    ``(e^{2|g|}, e^{-2|g|})`` for the gain area g, or ``(inf, 0.0)`` once that overflows.
 
-    They equal ``exp(+-2 * gain_area)`` exactly: the unitary segment drops
-    out of the product, leaving the squared thermal segment.  Both approach
-    1 as the dynamics become unitary (the diabolic-point limit), and their
-    product is 1 because both segment generators are traceless.
-
-    The small eigenvalue is recovered from the determinant rather than by
-    subtraction, which would lose all relative accuracy at large gain.
+    The unitary segment drops out of the product, leaving the squared
+    thermal segment.  Both approach 1 as the dynamics become unitary (the
+    diabolic-point limit), and their product is 1 because both segment
+    generators are traceless.
     """
-    gf, _ = floquet_operator(params)
-    dec = pauli_decompose(gf.conj().T @ gf)
-    m0 = dec.scalar.real
-    spread = math.sqrt(max(dec.norm_sq.real, 0.0))
-    large = m0 + spread
-    det = gf[0, 0] * gf[1, 1] - gf[0, 1] * gf[1, 0]
-    return large, float(abs(det) ** 2 / large)
+    g2 = 2 * abs(params.gain_area)
+    try:
+        return math.exp(g2), math.exp(-g2)
+    except OverflowError:
+        return math.inf, 0.0

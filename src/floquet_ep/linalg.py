@@ -178,6 +178,10 @@ def logm_2x2(m, period: float) -> PauliDecomposition:
     of both eigenvalues folded into the first zone
     ``(-omega/2, omega/2]`` with ``omega = 2*pi/period``.
 
+    A test oracle only; no run path takes this log.  Near an EP its error is
+    about ``1e-16 cosh^2(g) / |discriminant|`` at gain area g, but the fixed
+    ``DEFECTIVE_CONDITION_LIMIT`` ignores g: at g = 6 it can pass, 3e-6 off.
+
     Raises:
         NearDefectiveError: if the eigenvector condition number exceeds
             ``DEFECTIVE_CONDITION_LIMIT`` (the matrix log is then numerically

@@ -36,6 +36,6 @@ def figure_preset(name: str) -> RunConfig:
     names raise ValueError (the CLI turns that into a usage error)."""
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose from {', '.join(PRESET_NAMES)}")
-    from .cli import parse_config  # deferred: cli imports this module
+    from .args import parse_config  # deferred: args imports this module
 
     return parse_config(["preset", name])

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from floquet_ep.cli import _CHOICES, _DEFAULTS, _RUN_KEYS, UsageError, build_parser, main, parse_config, run
+from floquet_ep.args import _CHOICES, _DEFAULTS, _PAIR_INITS, _RUN_KEYS, build_parser
+from floquet_ep.cli import UsageError, main, parse_config, run
 from floquet_ep.envelope import (
     Column,
     ResultEnvelope,
@@ -26,6 +27,8 @@ from floquet_ep.envelope import (
 )
 from floquet_ep.floquet import FloquetParams, floquet_hamiltonian, floquet_hamiltonian_on_contour
 from floquet_ep.presets import PRESET_NAMES, figure_preset
+from floquet_ep.sweep import Quantity
+from floquet_ep.two_qubit import _DENSITY_LABELS
 
 #: Keys of each command's flags (``--config`` aside), in ``--help`` order.
 _FLAG_KEYS = {
@@ -188,6 +191,12 @@ class TestParseConfig:
         for key, default in _DEFAULTS[command].items():
             shown = ",".join(map(str, default)) if isinstance(default, list) else str(default)
             assert help_of["--" + key.replace("_", "-")].endswith(f"(default {shown})")
+
+
+def test_literal_choices_match_their_sources():
+    # the front end spells these out so that parsing loads no kernel module
+    assert _CHOICES["quantity"] == tuple(q.value for q in Quantity)
+    assert _PAIR_INITS == tuple(_DENSITY_LABELS)
 
 
 def test_perfbench_mirrors_the_cli_defaults(monkeypatch):
@@ -622,6 +631,65 @@ def _fresh_python(*argv, **env):
     """Run ``python ARGV`` in an environment without BLAS thread variables, plus ``env``."""
     base = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARS}
     return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env={**base, **env})
+
+
+_KERNEL_MODULES = ("numpy", *(f"floquet_ep.{m}" for m in ("linalg", "floquet", "bloch", "sweep", "two_qubit")))
+
+#: ``python -m floquet_ep ARGV`` in-process, then the exit status and the loaded
+#: kernel modules go to the file named by the first argument, not to stdout/stderr.
+_ENTRY_POINT = """
+import json, runpy, sys
+report = sys.argv.pop(1)
+{preload}
+try:
+    runpy.run_module("floquet_ep", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    status = exc.code
+with open(report, "w") as fh:
+    json.dump([status, [m for m in {kernels!r} if m in sys.modules]], fh)
+"""
+
+_HELP_ARGVS = [["--help"], *([c, "--help"] for c in (*_DEFAULTS, "preset"))]
+_USAGE_ERROR_ARGVS = [
+    ["phase-diagram", "--grid", "1x1"],
+    ["ep-contour", "--samples", "1"],
+    ["floquet-ham", "--omega-count", "3"],
+    ["bloch-traj", "--init", "4,0"],
+    ["two-qubit", "--init", "ghz"],
+    ["preset", "fig9"],
+]
+
+
+class TestNumpyFreeFrontEnd:
+    """``--help`` and usage errors end before numpy or any kernel module loads,
+    with the same status and bytes as a process that loaded them all first."""
+
+    @staticmethod
+    def _entry_point(tmp_path, argv, preload=""):
+        report = tmp_path / "report.txt"
+        code = _ENTRY_POINT.format(preload=preload, kernels=_KERNEL_MODULES)
+        proc = subprocess.run([sys.executable, "-c", code, str(report), *argv], capture_output=True)
+        status, loaded = json.loads(report.read_text())
+        return status, proc.stdout, proc.stderr, loaded
+
+    @pytest.mark.parametrize("argv", _HELP_ARGVS + _USAGE_ERROR_ARGVS, ids=" ".join)
+    def test_loads_no_kernel_and_prints_the_same_bytes(self, tmp_path, argv):
+        status, out, err, loaded = self._entry_point(tmp_path, argv)
+        assert loaded == []
+        assert status == (0 if "--help" in argv else 2)
+        if status:
+            assert out == b"" and err.startswith(b"error: ") and err.count(b"\n") == 1
+        else:
+            assert err == b"" and out.startswith(b"usage: floquet-ep")
+        eager = self._entry_point(tmp_path, argv, preload="import floquet_ep.cli")
+        assert eager == (status, out, err, list(_KERNEL_MODULES))
+
+    def test_cli_reexports_the_front_end(self):
+        import floquet_ep.args
+        import floquet_ep.cli
+
+        for name in ("UsageError", "parse_config", "main"):
+            assert getattr(floquet_ep.cli, name) is getattr(floquet_ep.args, name)
 
 
 class TestModuleEntryPoint:

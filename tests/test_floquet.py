@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from floquet_ep.floquet import (
     FloquetParams,
     PhaseKind,
+    _generator,
     classify_phase,
     discriminant,
     dp_proximity,
@@ -407,6 +408,12 @@ class TestEffectiveGenerator:
             assert abs(ham.decomposition.norm_sq.imag) < 1e-9 * max(1.0, abs(ham.decomposition.norm_sq))
             done += 1
 
+    def test_raises_where_the_generator_overflows(self):
+        # at gain area 1.7e308 the components no longer fit a double
+        for gamma_av in (1.7e308, math.inf, math.nan):
+            with pytest.raises(ValueError, match="generator is not finite"):
+                floquet_hamiltonian(FloquetParams(p=0.5, T=2.0, j_av=1.0, gamma_av=gamma_av))
+
     def test_finite_at_and_near_contour(self):
         # the matrix log raises here; the closed form is finite and rebuilds the map
         params = contour_params()
@@ -462,6 +469,22 @@ class TestGeneratorProperties:
         want = np.array([ref.scalar, *ref.vector])
         got = _components(floquet_hamiltonian(params))
         assert np.abs(got - want).max() <= 1e-9 * max(1.0, np.abs(want).max())
+
+    # Hatano-Nelson form: tunnelling amplitudes hx -+ i hy, on-site term hz
+    @settings(max_examples=200, deadline=None)
+    @given(a=st.floats(0.0, 30.0), g=st.floats(-5.0, 5.0), T=st.floats(0.1, 10.0))
+    def test_tunnelling_asymmetry_is_fixed_by_the_gain(self, a, g, T):
+        assume(abs(math.sin(a)) >= 1e-3)
+        _, hx, hy, _, _ = _generator(a, g, T)
+        assert math.log(abs(hx - 1j * hy) / abs(hx + 1j * hy)) == pytest.approx(2 * g, abs=1e-10)
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=st.floats(0.0, 30.0), g=st.floats(-5.0, 5.0), T=st.floats(0.1, 10.0))
+    def test_onsite_to_tunnelling_ratio(self, a, g, T):
+        assume(abs(math.sin(a)) >= 1e-3)
+        _, hx, hy, hz, _ = _generator(a, g, T)
+        got = abs(hz) / math.sqrt(abs((hx - 1j * hy) * (hx + 1j * hy)))
+        assert got == pytest.approx(abs(math.sinh(g) / math.tan(a)), rel=1e-10, abs=1e-300)
 
     @settings(max_examples=100, deadline=None)
     @given(a=st.floats(0.0, 30.0), g=st.floats(-700.0, 700.0), T=st.floats(0.1, 10.0))
@@ -561,6 +584,19 @@ class TestDpProximity:
         lp, lm = dp_proximity(params)
         assert lp == pytest.approx(math.e, rel=1e-12)
         assert lm == pytest.approx(1 / math.e, rel=1e-12)
+
+    def test_matches_the_eigenvalues_of_the_map(self):
+        for params in (SYMMETRIC, BROKEN, contour_params()):
+            gf, _ = floquet_operator(params)
+            want = np.linalg.eigvalsh(gf.conj().T @ gf)[::-1]
+            assert dp_proximity(params) == pytest.approx(tuple(want), rel=1e-12)
+
+    @pytest.mark.parametrize("gain_area", [300.0, 400.0, 800.0])
+    def test_strong_gain_without_warning(self, gain_area):
+        # e^{2|g|} overflows from g = 355; RuntimeWarnings are errors in this suite
+        want = (math.exp(2 * gain_area), math.exp(-2 * gain_area)) if gain_area < 355 else (math.inf, 0.0)
+        for sign in (1, -1):
+            assert dp_proximity(FloquetParams(p=0.5, T=2.0, j_av=1.0, gamma_av=sign * gain_area)) == want
 
     def test_product_is_one(self):
         rng = np.random.default_rng(18)

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from floquet_ep.cli import main
@@ -14,6 +14,7 @@ from floquet_ep.two_qubit import (
     EntanglementRecord,
     Qubit,
     TwoQubitParams,
+    _propagators,
     bell_density,
     concurrence,
     concurrence_closed_form_00,
@@ -369,6 +370,17 @@ class TestPairProperties:
         values = np.array([[r.concurrence, r.entropy_unitary, r.entropy_thermal] for r in records])
         assert np.all(np.isfinite(values))
         assert values.min() >= 0.0 and values.max() <= 1.0 + 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(j=st.floats(0.0, 10.0), gamma=_RATE, kx=_RATE, t=st.floats(0.0, 1e4))
+    @example(j=0.5, gamma=1.0, kx=1.0, t=50.0)
+    def test_scaled_propagator_determinant(self, j, gamma, kx, t):
+        # the pair Hamiltonian is traceless, so det G = 1 and G e^{-kappa t} has
+        # det e^{-4 kappa t}: 1 in the PT-symmetric phase and at the EP
+        params = TwoQubitParams(j=j, gamma=gamma, kx=kx)
+        g = _propagators(params, np.array([t]))[0]
+        want = math.exp(-4 * params.delta.imag * t)
+        assert abs(np.linalg.det(g) - want) <= 1e-14 * max(1.0, np.linalg.norm(g, 2)) ** 4
 
     @settings(max_examples=60, deadline=None)
     @given(gamma=_RATE, kx=_RATE, t=st.floats(0.0, 1e4))
