@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .floquet import FloquetParams, PhaseKind, classify_phase
+from .floquet import FloquetParams, PhaseKind, _x_rotation, _z_gain, classify_phase
 from .linalg import eig
 
 __all__ = [
@@ -138,14 +138,13 @@ def _period_samples(params: FloquetParams, sub: int):
     maps, tags, offsets = [], [], []
     u_full = np.eye(2)
     if params.tau > 0:
-        c, s = np.cos(a), -1j * np.sin(a)
-        maps.append(np.stack([c, s, s, c], axis=-1).reshape(sub, 2, 2))
+        maps.append(_x_rotation(a))
         u_full = maps[0][-1]
         tags += [SegmentKind.UNITARY] * sub
         offsets.append(params.p * k / sub)
     if params.beta > 0:
-        scale = np.stack([np.exp(g - np.abs(g)), np.exp(-g - np.abs(g))], axis=-1)
-        maps.append(scale[:, :, None] * u_full)
+        # row scaling: the product with the gain map minus its zero terms, which can flip a zero's sign
+        maps.append(_z_gain(g, np.abs(g)).diagonal(axis1=1, axis2=2)[:, :, None] * u_full)
         tags += [SegmentKind.THERMAL] * sub
         offsets.append(params.p + (1 - params.p) * k / sub)
     return np.concatenate(maps), tags, np.concatenate(offsets)

@@ -19,7 +19,7 @@ import numpy as np
 from .args import UsageError, main, parse_config
 from .bloch import equal_superposition_xyz, evolve_state
 from .envelope import Column, RunConfig, make_envelope
-from .floquet import FloquetParams, _generator
+from .floquet import FloquetParams, _areas, _generator
 from .sweep import AxisSpec, GridSpec, Quantity, compute_heatmap, trace_contours
 from .two_qubit import TwoQubitParams, density_from_label, entanglement_timeseries
 
@@ -60,18 +60,12 @@ def _run_ep_contour(cfg: RunConfig) -> list[Column]:
 
 
 def _run_floquet_ham(cfg: RunConfig) -> list[Column]:
-    """One array pass over the frequencies; the areas use the float operations
-    of :meth:`FloquetParams.from_omega`, so each row is the scalar
-    :func:`~floquet_ep.floquet.floquet_hamiltonian` bit for bit."""
+    """One array pass over the frequencies through :func:`~floquet_ep.floquet._areas`;
+    each row is the scalar :func:`~floquet_ep.floquet.floquet_hamiltonian` bit for bit."""
     p = cfg.parameters
     omega = np.linspace(p["omega"], p.get("omega_max", p["omega"]), p["omega_count"])
-    with np.errstate(over="ignore", invalid="ignore"):
-        T = 2 * math.pi / omega
-        drive_area = p["j_av"] * (p["p"] * T)
-        gain_area = p["gamma_av"] * ((1 - p["p"]) * T)
-        h0, hx, hy, hz, on_contour = _generator(drive_area, gain_area, T)
-    if not all(np.all(np.isfinite(x)) for x in (drive_area, gain_area, hx, hy, hz)):
-        raise ValueError(f"drive or gain area or generator is not finite, omega in [{omega[0]:g}, {omega[-1]:g}]")
+    T, drive_area, gain_area = _areas(p["p"], omega, p["j_av"], p["gamma_av"])
+    h0, hx, hy, hz, on_contour = _generator(drive_area, gain_area, T)
     cols = [Column("omega", "rad/time", omega.tolist())]
     for name, h in (("h0", h0), ("hx", hx), ("hy", hy), ("hz", hz)):
         cols += [Column(f"{name}_re", "1/time", h.real.tolist()), Column(f"{name}_im", "1/time", h.imag.tolist())]
@@ -89,6 +83,8 @@ def _run_bloch_traj(cfg: RunConfig) -> list[Column]:
         psi0 = np.array([math.cos(theta / 2), phase * math.sin(theta / 2)], dtype=complex)
     traj = evolve_state(psi0, params, n_periods=p["periods"], substeps_per_segment=p["substeps"])
     xs, ys, zs = traj.cartesian.T.tolist()
+    segment = [tag.value for tag in traj.segment_tags[1 : 1 + traj.samples_per_period]] * traj.n_periods
+    segment.insert(0, traj.segment_tags[0].value)
     return [
         Column("time", "T", traj.times.tolist()),
         Column("theta", "rad", traj.theta.tolist()),
@@ -96,7 +92,7 @@ def _run_bloch_traj(cfg: RunConfig) -> list[Column]:
         Column("x", "dimensionless", xs),
         Column("y", "dimensionless", ys),
         Column("z", "dimensionless", zs),
-        Column("segment", "tag", [tag.value for tag in traj.segment_tags]),
+        Column("segment", "tag", segment),
     ]
 
 

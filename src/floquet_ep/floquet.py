@@ -79,8 +79,8 @@ class FloquetParams:
             raise ValueError(f"p must lie in [0, 1], got {self.p}")
         if not self.T > 0:
             raise ValueError(f"T must be positive, got {self.T}")
-        if self.j_av < 0:
-            raise ValueError(f"j_av must be non-negative, got {self.j_av}")
+        if not self.j_av >= 0 or math.isnan(self.gamma_av):
+            raise ValueError(f"j_av must be non-negative and gamma_av not nan, got {self.j_av}, {self.gamma_av}")
 
     @classmethod
     def from_omega(cls, p: float, omega: float, j_av: float, gamma_av: float) -> "FloquetParams":
@@ -146,6 +146,18 @@ class FloquetParams:
         return FloquetParams(self.p, self.T, self.j_av, gamma_av)
 
 
+def _areas(p, omega, j_av, gamma_av):
+    """``(T, drive_area, gain_area)`` at drive frequency omega, scalars or arrays, with the
+    float operations of :meth:`FloquetParams.from_omega`; ValueError unless omega > 0 and all are finite."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        T = 2 * math.pi / omega
+        areas = T, j_av * (p * T), gamma_av * ((1 - p) * T)
+    if not (np.all(omega > 0) and all(np.all(np.isfinite(x)) for x in (omega, *areas))):
+        lo, hi = np.min(omega), np.max(omega)
+        raise ValueError(f"omega must be positive, and the drive area and gain area finite; omega in [{lo:g}, {hi:g}]")
+    return areas
+
+
 class PhaseKind(Enum):
     PT_SYMMETRIC = "pt-symmetric"
     PT_BROKEN = "pt-broken"
@@ -195,12 +207,17 @@ class FloquetHamiltonian:
         return complex(self.decomposition.vector[2])
 
 
-def _x_rotation(a: float) -> np.ndarray:
-    return np.array([[math.cos(a), -1j * math.sin(a)], [-1j * math.sin(a), math.cos(a)]], dtype=complex)
+def _x_rotation(a):
+    """``exp(-i a sigma_x)`` per drive area, shape ``a.shape + (2, 2)``."""
+    c, s = np.cos(a), -1j * np.sin(a)
+    return np.stack([c, s, s, c], axis=-1).reshape(np.shape(a) + (2, 2))
 
 
-def _z_gain(g: float) -> np.ndarray:
-    return np.array([[math.exp(g), 0.0], [0.0, math.exp(-g)]], dtype=complex)
+def _z_gain(g, shift=0.0):
+    """``exp(g sigma_z - shift)`` per gain area; ``shift = |g|`` keeps it finite at any gain."""
+    out = np.zeros(np.shape(g) + (2, 2), dtype=complex)
+    out[..., 0, 0], out[..., 1, 1] = np.exp(g - shift), np.exp(-g - shift)
+    return out
 
 
 def propagator_unitary(params: FloquetParams) -> np.ndarray:
@@ -212,20 +229,23 @@ def propagator_thermal(params: FloquetParams) -> np.ndarray:
     """Thermal-segment map exp(+gamma_av * beta * sigma_z).
 
     Hermitian and positive-definite with eigenvalues e^{+-gain_area}; its
-    determinant is exactly 1 because the generator is traceless.
+    determinant is exactly 1 because the generator is traceless.  Where
+    e^{|gain_area|} overflows it raises FloatingPointError.
     """
-    return _z_gain(params.gain_area)
+    with np.errstate(over="raise"):
+        return _z_gain(params.gain_area)
 
 
-def _profile_product(step_matrix, duration: float, n_steps: int) -> np.ndarray:
+def _profile_product(segment_map, rate_fn, duration: float, n_steps: int) -> np.ndarray:
     if duration < 0:
         raise ValueError("duration must be non-negative")
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     dt = duration / n_steps
     out = np.array(IDENTITY_2)
-    for i in range(n_steps):
-        out = step_matrix((i + 0.5) * dt, dt) @ out
+    with np.errstate(over="raise"):  # an overflowing gain raises, as in propagator_thermal
+        for step in segment_map(np.array([rate_fn((i + 0.5) * dt) for i in range(n_steps)], dtype=float) * dt):
+            out = step @ out
     return out
 
 
@@ -236,12 +256,12 @@ def propagator_unitary_profile(rate_fn, duration: float, n_steps: int) -> np.nda
     commute, so the result depends only on the mean of ``rate_fn`` over the
     segment (exactly so for profiles piecewise-constant on the step grid).
     """
-    return _profile_product(lambda t, dt: _x_rotation(rate_fn(t) * dt), duration, n_steps)
+    return _profile_product(_x_rotation, rate_fn, duration, n_steps)
 
 
 def propagator_thermal_profile(rate_fn, duration: float, n_steps: int) -> np.ndarray:
     """Fine-step product integrator for a time-dependent gain/loss rate."""
-    return _profile_product(lambda t, dt: _z_gain(rate_fn(t) * dt), duration, n_steps)
+    return _profile_product(_z_gain, rate_fn, duration, n_steps)
 
 
 def floquet_operator(params: FloquetParams) -> tuple[np.ndarray, PauliDecomposition]:
@@ -273,7 +293,7 @@ _SERIES_D = 1e-4  # below this |discriminant|, the series of asinh(r)/r
 def _generator(drive_area, gain_area, T):
     """Effective generator ``(h0, hx, hy, hz, on_contour)`` of the one-period
     map at any gain; scalars or arrays, ``on_contour`` is ``|d| <= CONTOUR_TOL``
-    for the discriminant d.
+    for the discriminant d.  ValueError where hx, hy or hz overflows.
 
     Over cosh g, ``G = e^{g sz} e^{-i a sx}`` is ``cos a + u.sigma`` with
     ``u = (-i sin a, sin a tanh g, cos a tanh g)``, ``u.u = rho^2 = d/cosh^2 g``.
@@ -299,10 +319,11 @@ def _generator(drive_area, gain_area, T):
             np.cosh(ag) * (1 - d / 6 + 3 * d * d / 40),
             np.where(rho2 > 0, (log_cosh + np.log(sc + rho)) / rho, np.arctan2(rho, sc) / rho),
         )
-        k = sign * ratio / T
-        tanh_g = np.tanh(gain_area)
-        h0 = np.where(sign < 0, math.pi / T, 0.0)
-        return h0, k * sin_a, 1j * (k * sin_a * tanh_g), 1j * (k * c * tanh_g), np.abs(d) <= CONTOUR_TOL
+        k, tanh_g = sign * ratio / T, np.tanh(gain_area)
+        h = np.where(sign < 0, math.pi / T, 0.0), k * sin_a, 1j * (k * sin_a * tanh_g), 1j * (k * c * tanh_g)
+    if not all(np.all(np.isfinite(x)) for x in h[1:]):
+        raise ValueError(f"generator is not finite at gain area {np.max(np.abs(gain_area)):g}, T {np.min(T):g}")
+    return *h, np.abs(d) <= CONTOUR_TOL
 
 
 def _phase_code(d, tol: float = PHASE_TOL):
@@ -344,6 +365,8 @@ def classify_phase(params: FloquetParams, tol: float = PHASE_TOL) -> PhaseLabel:
     if tol <= 0:
         raise ValueError("tol must be positive")
     d = discriminant(params)
+    if math.isnan(d):
+        raise ValueError(f"discriminant is nan at drive area {params.drive_area:g}, gain area {params.gain_area:g}")
     kind = (PhaseKind.PT_SYMMETRIC, PhaseKind.EXCEPTIONAL_POINT, PhaseKind.PT_BROKEN)[int(_phase_code(d, tol)) + 1]
     return PhaseLabel(kind=kind, discriminant=d, tol=tol)
 
@@ -359,27 +382,29 @@ def eigenvector_overlap(params: FloquetParams) -> float:
     return float(_eigenvector_overlap(params.drive_area, params.gain_area))
 
 
+def _contour_gamma(drive_area, beta, branch: int):
+    """Gain rate solving ``cos(drive_area) cosh(beta gamma) = branch``, nan where no contour
+    passes; ``branch / cos`` within 1e-12 below 1 is roundoff at a resonance and counts as 1."""
+    if not np.all(beta > 0):
+        raise ValueError("thermal segment has zero duration; no contour exists")
+    c = np.cos(drive_area)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(c == 0.0, 0.0, branch / c)
+        return np.arccosh(np.where((1.0 - 1e-12 <= ratio) & (ratio < 1.0), 1.0, ratio)) / beta
+
+
 def ep_contour_gamma(params: FloquetParams, branch: int) -> float | None:
     """Gain rate that puts this (p, T, j_av) on an exceptional contour.
 
-    Inverts ``cos(drive_area) * cosh((1-p)*T*gamma) = branch`` for
-    ``branch`` in {+1, -1}.  ``params.gamma_av`` is ignored.  Returns None
-    when the contour does not pass through this drive frequency on the
+    Inverts ``cos(drive_area) * cosh((1-p)*T*gamma) = branch`` for ``branch`` in
+    {+1, -1}, a one-point call into the array form.  ``params.gamma_av`` is ignored.
+    Returns None when the contour does not pass through this drive frequency on the
     requested branch (routine during frequency sweeps, hence not an error).
     """
     if branch not in (1, -1):
         raise ValueError(f"branch must be +1 or -1, got {branch}")
-    if params.beta <= 0:
-        raise ValueError("thermal segment has zero duration; no contour exists")
-    c = math.cos(params.drive_area)
-    if c == 0.0:
-        return None
-    ratio = branch / c
-    if 1.0 - 1e-12 <= ratio < 1.0:
-        ratio = 1.0  # roundoff guard right at a resonance, where gamma -> 0
-    if ratio < 1.0:
-        return None
-    return math.acosh(ratio) / params.beta
+    gamma = float(_contour_gamma(params.drive_area, params.beta, branch))
+    return None if math.isnan(gamma) else gamma
 
 
 def ep_slope_approx(k: int, p: float, delta_omega: float) -> float:
@@ -429,10 +454,7 @@ def floquet_hamiltonian(params: FloquetParams) -> FloquetHamiltonian:
     the PT-symmetric phase.  ``on_contour`` flags ``|discriminant| <= CONTOUR_TOL``.
     """
     h0, hx, hy, hz, on_contour = _generator(params.drive_area, params.gain_area, params.T)
-    vector = np.array([hx, hy, hz], dtype=complex)
-    if not np.all(np.isfinite(vector)):
-        raise ValueError(f"generator is not finite at gain area {params.gain_area:g}, T {params.T:g}")
-    dec = PauliDecomposition(complex(h0), vector)
+    dec = PauliDecomposition(complex(h0), np.array([hx, hy, hz], dtype=complex))
     return FloquetHamiltonian(decomposition=dec, on_contour=bool(on_contour))
 
 

@@ -5,24 +5,18 @@ Grids are specified in the dimensionless phase-diagram coordinates
 axis).  Every cell quantity is an elementwise closed form, so a heat map is
 one numpy pass over the whole grid through the same helpers as the scalar
 functions of :mod:`floquet_ep.floquet`; each cell equals the scalar result
-at :meth:`GridSpec.params_at` bit for bit.
+at :meth:`GridSpec.params_at` bit for bit.  A contour trace is one array inversion
+per branch; each gain equals :func:`~floquet_ep.floquet.ep_contour_gamma` there bit for bit.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .floquet import (
-    FloquetParams,
-    _discriminant,
-    _eigenvector_overlap,
-    _phase_code,
-    ep_contour_gamma,
-)
+from .floquet import FloquetParams, _areas, _contour_gamma, _discriminant, _eigenvector_overlap, _phase_code
 
 __all__ = [
     "AxisSpec",
@@ -107,20 +101,14 @@ def compute_heatmap(grid: GridSpec, quantity: Quantity) -> HeatMap:
     """Evaluate one quantity over the grid in a single array pass.
 
     The gain axis is broadcast as a column against the frequency axis as a
-    row; the drive and gain areas use the float operations of
-    :meth:`FloquetParams.from_dimensionless`.
+    row; :func:`~floquet_ep.floquet._areas` gives the drive and gain areas
+    with the float operations of :meth:`FloquetParams.from_dimensionless`.
     """
-    p, j_av, pj = grid.p, grid.j_av, grid.p * grid.j_av
+    p, pj = grid.p, grid.p * grid.j_av
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         omega = grid.omega_axis.values()[np.newaxis, :] * pj
         gamma_av = grid.gamma_axis.values()[:, np.newaxis] * pj / (1 - p)
-        T = 2 * math.pi / omega
-        drive_area = j_av * (p * T)
-        gain_area = gamma_av * ((1 - p) * T)
-    if not np.all(omega > 0):
-        raise ValueError(f"omega must be positive, got {omega.min()}")
-    if not all(np.all(np.isfinite(x)) for x in (omega, drive_area, gain_area)):
-        raise ValueError("frequency, drive area or gain area is not finite on this grid")
+    _, drive_area, gain_area = _areas(p, omega, grid.j_av, gamma_av)
     if quantity is Quantity.INNER_PRODUCT:
         values = _eigenvector_overlap(drive_area, gain_area)
     else:
@@ -153,33 +141,28 @@ def trace_contours(p: float, j_av: float, omega_range: tuple[float, float], n_sa
     """Sample the exceptional contours over a frequency window.
 
     The contour condition is exactly invertible per frequency, so the arms
-    are sampled directly rather than path-followed.  Points are grouped by
-    (branch sign, inter-resonance interval index).
+    are sampled directly rather than path-followed, in one array pass per
+    branch sign.  Points are grouped by (branch sign, inter-resonance interval
+    index), in frequency order.
     """
     lo, hi = omega_range
     if not (lo > 0 and hi > lo):
         raise ValueError("omega_range must satisfy 0 < lo < hi")
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
-    pj = p * j_av
+    FloquetParams.from_omega(p, hi, j_av, 0.0)  # checks p and j_av
     omegas = np.linspace(lo, hi, n_samples)
-    with np.errstate(over="ignore"):
-        intervals, drive_area = np.floor(2 * pj / omegas), j_av * (p * (2 * math.pi / omegas))
-    if not (np.all(np.isfinite(intervals)) and np.all(np.isfinite(drive_area))):
-        raise ValueError(f"drive area is not finite at omega = {lo:g}")
+    T, drive_area, _ = _areas(p, omegas, j_av, 0.0)
+    intervals = np.floor(2 * (p * j_av / omegas))  # = floor(2 p j_av / omega), finite with drive_area
     groups: dict[tuple[int, int], ContourBranch] = {}
-    for omega, k_interval in zip(omegas.tolist(), map(int, intervals.tolist())):
-        params = FloquetParams.from_omega(p, omega, j_av, 0.0)
-        for branch in (1, -1):
-            gamma = ep_contour_gamma(params, branch)
-            if gamma is None:
-                continue
-            key = (branch, k_interval)
-            if key not in groups:
-                groups[key] = ContourBranch(branch=branch, resonance_index=k_interval)
-            groups[key].points.append((gamma, omega))
-    ordered = sorted(groups.values(), key=lambda b: (b.resonance_index, -b.branch))
-    return ContourSet(branches=ordered)
+    for branch in (1, -1):
+        gammas = _contour_gamma(drive_area, (1 - p) * T, branch)
+        found = np.flatnonzero(~np.isnan(gammas))
+        for run in np.split(found, np.flatnonzero(np.diff(intervals[found])) + 1):  # one run per interval
+            if run.size:
+                key = (branch, int(intervals[run[0]]))
+                groups.setdefault(key, ContourBranch(*key)).points.extend(zip(gammas[run].tolist(), omegas[run].tolist()))
+    return ContourSet(branches=sorted(groups.values(), key=lambda b: (b.resonance_index, -b.branch)))
 
 
 @dataclass(frozen=True)

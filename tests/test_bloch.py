@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from floquet_ep.bloch import (
     BlochState,
     SegmentKind,
+    _period_samples,
     equal_superposition_xyz,
     evolve_state,
     steady_state_bloch,
@@ -160,6 +161,36 @@ class TestEvolveState:
             evolve_state(equal_superposition_xyz(), SYMMETRIC, 0)
         with pytest.raises(ValueError):
             evolve_state(equal_superposition_xyz(), SYMMETRIC, 1, substeps_per_segment=0)
+
+
+def stacked_period_maps(params, sub):
+    """Reference: the period's sample maps from the rotation and the
+    scale-free gain written out as stacked arrays."""
+    k = np.arange(1, sub + 1)
+    a, g = params.drive_area * k / sub, params.gain_area * k / sub
+    maps, u_full = [], np.eye(2)
+    if params.tau > 0:
+        c, s = np.cos(a), -1j * np.sin(a)
+        maps.append(np.stack([c, s, s, c], axis=-1).reshape(sub, 2, 2))
+        u_full = maps[0][-1]
+    if params.beta > 0:
+        scale = np.stack([np.exp(g - np.abs(g)), np.exp(-g - np.abs(g))], axis=-1)
+        maps.append(scale[:, :, None] * u_full)
+    return np.concatenate(maps).astype(complex)
+
+
+class TestPeriodSamples:
+    @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
+    def test_maps_equal_the_stacked_formulas_bit_for_bit(self, p):
+        # signed zeros included: they set phi where a component vanishes
+        for drive_area in (0.0, 1.0, math.pi, 2.5, 1e3):
+            for gain_area in (0.0, 0.1, -0.7, 5.0, -40.0, 400.0, -400.0, 1e300):
+                j_av = drive_area / (p * 2.0) if p > 0 else 0.0
+                gamma_av = gain_area / ((1 - p) * 2.0) if p < 1 else 0.0
+                params = FloquetParams(p=p, T=2.0, j_av=j_av, gamma_av=gamma_av)
+                for sub in (1, 3, 64):
+                    got = _period_samples(params, sub)[0]
+                    assert got.tobytes() == stacked_period_maps(params, sub).tobytes(), (drive_area, gain_area, sub)
 
 
 class TestStroboscopicSlice:

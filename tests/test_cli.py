@@ -719,6 +719,25 @@ class TestModuleEntryPoint:
         code = "import os, sys; env = dict(os.environ); import floquet_ep; print('numpy' in sys.modules, env == os.environ)"
         assert _fresh_python("-c", code).stdout.split() == ["False", "True"]
 
+    def test_no_command_loads_numpy_ma(self, tmp_path):
+        # importing numpy.ma (np.unique does) costs about as much as a small run
+        runs = [
+            ["phase-diagram", "--grid", "4x4"],
+            ["ep-contour", "--samples", "50"],
+            ["floquet-ham"],
+            ["bloch-traj", "--periods", "2", "--substeps", "4"],
+            ["two-qubit", "--steps", "10"],
+        ]
+        code = (
+            "import sys, floquet_ep.args\n"
+            f"for argv in {runs!r}:\n"
+            "    assert floquet_ep.args.main([*argv, '--output', f'{sys.argv[1]}/{argv[0]}.csv']) == 0, argv\n"
+            "print('numpy.ma' in sys.modules)"
+        )
+        proc = _fresh_python("-c", code, str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
+
     def test_every_public_name_resolves_to_its_module(self):
         # in a fresh interpreter, so that every name takes the lazy path
         code = (

@@ -10,6 +10,8 @@ from floquet_ep.floquet import (
     FloquetParams,
     PhaseKind,
     _generator,
+    _x_rotation,
+    _z_gain,
     classify_phase,
     discriminant,
     dp_proximity,
@@ -67,6 +69,11 @@ class TestParams:
         with pytest.raises(ValueError):
             FloquetParams(p=0.5, T=1.0, j_av=-1.0, gamma_av=0.0)
 
+    @pytest.mark.parametrize("j_av,gamma_av", [(1.0, math.nan), (math.nan, 1.0)])
+    def test_rejects_nan_rates(self, j_av, gamma_av):
+        with pytest.raises(ValueError, match="nan"):
+            FloquetParams(p=0.5, T=2.0, j_av=j_av, gamma_av=gamma_av)
+
     def test_degenerate_fractions_admitted(self):
         FloquetParams(p=0.0, T=1.0, j_av=1.0, gamma_av=0.5)
         FloquetParams(p=1.0, T=1.0, j_av=1.0, gamma_av=0.5)
@@ -102,6 +109,41 @@ class TestSegmentPropagators:
     def test_thermal_unit_determinant(self):
         params = FloquetParams(p=0.2, T=3.0, j_av=0.7, gamma_av=0.9)
         assert abs(np.linalg.det(propagator_thermal(params)) - 1) < 1e-12
+
+    @pytest.mark.parametrize("segment_map", [_x_rotation, _z_gain, lambda g: _z_gain(g, np.abs(g))])
+    def test_array_call_equals_the_elementwise_calls(self, segment_map):
+        areas = np.concatenate([np.random.default_rng(41).uniform(-30, 30, 200), [0.0, -0.0, math.pi, 700.0, -700.0]])
+        batch = segment_map(areas.reshape(5, 41))
+        assert batch.shape == (5, 41, 2, 2)
+        single = np.array([segment_map(a) for a in areas.tolist()])
+        assert batch.tobytes() == single.tobytes()
+
+    def test_thermal_overflow_raises(self):
+        with pytest.raises(ArithmeticError):
+            propagator_thermal(FloquetParams(p=0.5, T=2.0, j_av=1.0, gamma_av=800.0))
+        with pytest.raises(ArithmeticError):
+            propagator_thermal_profile(lambda t: 800.0, 2.0, 4)
+
+    def test_propagators_within_an_ulp_of_the_math_module_forms(self):
+        def x_rotation(a):
+            return np.array([[math.cos(a), -1j * math.sin(a)], [-1j * math.sin(a), math.cos(a)]], dtype=complex)
+
+        def z_gain(g):
+            return np.array([[math.exp(g), 0.0], [0.0, math.exp(-g)]], dtype=complex)
+
+        rng = np.random.default_rng(43)
+        for _ in range(500):
+            params = FloquetParams(
+                p=rng.uniform(0.05, 0.95),
+                T=rng.uniform(0.1, 10.0),
+                j_av=rng.uniform(0.0, 5.0),
+                gamma_av=rng.uniform(-20.0, 20.0),
+            )
+            pairs = ((propagator_unitary(params), x_rotation(params.drive_area)),
+                     (propagator_thermal(params), z_gain(params.gain_area)))
+            for got, want in pairs:
+                for part in (np.real, np.imag):
+                    assert np.all(np.abs(part(got) - part(want)) <= np.spacing(np.abs(part(want))))
 
 
 class TestFloquetOperator:
@@ -191,6 +233,11 @@ class TestPhase:
                 assert abs(abs(lam_p) - abs(lam_m)) < 1e-9
             elif kind is PhaseKind.PT_BROKEN:
                 assert abs(abs(lam_p) - abs(lam_m)) > 1e-9
+
+    def test_nan_discriminant_raises(self):
+        # p = 1 leaves no thermal segment, so an infinite gain rate gives gain area inf * 0
+        with pytest.raises(ValueError, match="discriminant is nan"):
+            classify_phase(FloquetParams(p=1.0, T=2.0, j_av=1.0, gamma_av=math.inf))
 
 
 class TestEigenvectorOverlap:
@@ -410,9 +457,13 @@ class TestEffectiveGenerator:
 
     def test_raises_where_the_generator_overflows(self):
         # at gain area 1.7e308 the components no longer fit a double
-        for gamma_av in (1.7e308, math.inf, math.nan):
+        for gamma_av in (1.7e308, math.inf):
             with pytest.raises(ValueError, match="generator is not finite"):
                 floquet_hamiltonian(FloquetParams(p=0.5, T=2.0, j_av=1.0, gamma_av=gamma_av))
+
+    def test_nan_gain_rate_raises_before_the_generator(self):
+        with pytest.raises(ValueError, match="gamma_av"):
+            FloquetParams(p=0.5, T=2.0, j_av=1.0, gamma_av=math.nan)
 
     def test_finite_at_and_near_contour(self):
         # the matrix log raises here; the closed form is finite and rebuilds the map

@@ -237,6 +237,58 @@ class TestContours:
             trace_contours(0.5, 1.0, (1.0, 2.0), 1)
 
 
+def _contours_per_frequency(p, j_av, omega_range, n_samples):
+    """Reference tracer: one FloquetParams and one scalar inversion with
+    math.acosh per frequency and branch, grouped as trace_contours groups."""
+    groups = {}
+    omegas = np.linspace(*omega_range, n_samples)
+    for omega, k in zip(omegas.tolist(), np.floor(2 * (p * j_av) / omegas).tolist()):
+        params = FloquetParams.from_omega(p, omega, j_av, 0.0)
+        c = math.cos(params.drive_area)
+        for branch in (1, -1):
+            ratio = branch / c if c != 0.0 else -math.inf
+            if 1.0 - 1e-12 <= ratio < 1.0:
+                ratio = 1.0
+            if ratio >= 1.0:
+                groups.setdefault((branch, int(k)), []).append((math.acosh(ratio) / params.beta, omega))
+    return dict(sorted(groups.items(), key=lambda item: (item[0][1], -item[0][0])))
+
+
+_FIG1C = figure_preset("fig1c").parameters
+_NODE = 2 * 0.5 * 1.0 / 1.5  # node k = 1 at p = 0.5, j_av = 1
+CONTOUR_WINDOWS = [
+    (_FIG1C["p"], _FIG1C["j_av"], (_FIG1C["omega_min"], _FIG1C["omega_max"]), _FIG1C["samples"]),
+    (0.5, 1.0, (2 * 0.5 * 1.0 / 3, 0.9), 301),  # starts on the exact resonance k = 3
+    (0.5, 1.0, (_NODE - 1e-7, _NODE + 1e-7), 3),
+    (0.05, 1.0, (0.01, 0.2), 2000),
+    (0.95, 1.0, (0.2, 4.0), 2000),
+]
+
+
+class TestContoursMatchPerFrequencyTracing:
+    @pytest.mark.parametrize("p,j_av,omega_range,n_samples", CONTOUR_WINDOWS)
+    def test_same_branches_frequencies_and_gains(self, p, j_av, omega_range, n_samples):
+        want = _contours_per_frequency(p, j_av, omega_range, n_samples)
+        got = trace_contours(p, j_av, omega_range, n_samples).branches
+        assert [(b.branch, b.resonance_index) for b in got] == list(want)
+        for branch, points in zip(got, want.values()):
+            assert [omega for _, omega in branch.points] == [omega for _, omega in points]
+            for (gamma, omega), (ref, _) in zip(branch.points, points):
+                assert gamma == ep_contour_gamma(FloquetParams.from_omega(p, omega, j_av, 0.0), branch.branch)
+                assert abs(gamma - ref) <= 1e-15 * ref
+
+    def test_windows_reach_the_edge_cases(self):
+        resonance = trace_contours(*CONTOUR_WINDOWS[1])
+        assert 0.0 in [gamma for b in resonance.branches for gamma, _ in b.points]
+        node = trace_contours(*CONTOUR_WINDOWS[2])
+        assert min(gamma for b in node.branches for gamma, _ in b.points) > 3.0
+
+    @pytest.mark.parametrize("p", [1.0, -0.1, 1.5])
+    def test_rejects_a_fraction_without_a_thermal_segment_or_outside_0_1(self, p):
+        with pytest.raises(ValueError):
+            trace_contours(p, 1.0, (0.5, 2.0), 10)
+
+
 class TestResonances:
     def test_first_resonance(self):
         info = resonance_frequencies(0.5, 1.0, 1)
