@@ -38,9 +38,9 @@ def _run_phase_diagram(cfg: RunConfig) -> list[Column]:
     n_gamma, n_omega = hm.values.shape
     qname = p["quantity"].replace("-", "_")
     return [
-        Column("gamma_ratio", "dimensionless", np.repeat(hm.gamma_values(), n_omega).tolist()),
-        Column("omega_ratio", "dimensionless", np.tile(hm.omega_values(), n_gamma).tolist()),
-        Column(qname, "dimensionless", hm.values.ravel().tolist()),
+        Column("gamma_ratio", "dimensionless", np.repeat(hm.gamma_values(), n_omega)),
+        Column("omega_ratio", "dimensionless", np.tile(hm.omega_values(), n_gamma)),
+        Column(qname, "dimensionless", hm.values.ravel()),
     ]
 
 
@@ -48,15 +48,17 @@ def _run_ep_contour(cfg: RunConfig) -> list[Column]:
     p = cfg.parameters
     contours = trace_contours(p["p"], p["j_av"], (p["omega_min"], p["omega_max"]), p["samples"])
     pj = p["p"] * p["j_av"]
-    rows = [(b.branch, b.resonance_index, omega, gamma) for b in contours.branches for gamma, omega in b.points]
-    cols = np.array(rows, dtype=float).reshape(-1, 4).T
+    blocks = [np.column_stack([np.full((len(b.points), 2), (b.branch, b.resonance_index), dtype=float),
+                               np.array(b.points, dtype=float).reshape(-1, 2)[:, ::-1]])  # points are (gamma, omega)
+              for b in contours.branches]
+    cols = np.concatenate([np.empty((0, 4))] + blocks).T
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         cols = np.vstack([cols, cols[2] / pj, (1 - p["p"]) * cols[3] / pj])
     if not np.all(np.isfinite(cols)):
         raise ValueError("a contour value is not finite: p*j_av or the thermal segment is too small")
     names = ("branch", "interval_k", "omega", "gamma_av", "omega_ratio", "gamma_ratio")
     units = ("sign", "index", "rad/time", "1/time", "dimensionless", "dimensionless")
-    return [Column(name, unit, vals) for name, unit, vals in zip(names, units, cols.tolist())]
+    return [Column(name, unit, vals) for name, unit, vals in zip(names, units, cols)]
 
 
 def _run_floquet_ham(cfg: RunConfig) -> list[Column]:
@@ -66,10 +68,10 @@ def _run_floquet_ham(cfg: RunConfig) -> list[Column]:
     omega = np.linspace(p["omega"], p.get("omega_max", p["omega"]), p["omega_count"])
     T, drive_area, gain_area = _areas(p["p"], omega, p["j_av"], p["gamma_av"])
     h0, hx, hy, hz, on_contour = _generator(drive_area, gain_area, T)
-    cols = [Column("omega", "rad/time", omega.tolist())]
+    cols = [Column("omega", "rad/time", omega)]
     for name, h in (("h0", h0), ("hx", hx), ("hy", hy), ("hz", hz)):
-        cols += [Column(f"{name}_re", "1/time", h.real.tolist()), Column(f"{name}_im", "1/time", h.imag.tolist())]
-    return cols + [Column("on_contour", "flag", on_contour.astype(float).tolist())]
+        cols += [Column(f"{name}_re", "1/time", h.real), Column(f"{name}_im", "1/time", h.imag)]
+    return cols + [Column("on_contour", "flag", on_contour.astype(float))]  # float: the flag prints as 1.0
 
 
 def _run_bloch_traj(cfg: RunConfig) -> list[Column]:
@@ -82,13 +84,13 @@ def _run_bloch_traj(cfg: RunConfig) -> list[Column]:
         phase = complex(math.cos(phi), math.sin(phi))
         psi0 = np.array([math.cos(theta / 2), phase * math.sin(theta / 2)], dtype=complex)
     traj = evolve_state(psi0, params, n_periods=p["periods"], substeps_per_segment=p["substeps"])
-    xs, ys, zs = traj.cartesian.T.tolist()
+    xs, ys, zs = traj.cartesian.T
     segment = [tag.value for tag in traj.segment_tags[1 : 1 + traj.samples_per_period]] * traj.n_periods
     segment.insert(0, traj.segment_tags[0].value)
     return [
-        Column("time", "T", traj.times.tolist()),
-        Column("theta", "rad", traj.theta.tolist()),
-        Column("phi", "rad", traj.phi.tolist()),
+        Column("time", "T", traj.times),
+        Column("theta", "rad", traj.theta),
+        Column("phi", "rad", traj.phi),
         Column("x", "dimensionless", xs),
         Column("y", "dimensionless", ys),
         Column("z", "dimensionless", zs),

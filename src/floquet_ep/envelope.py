@@ -5,8 +5,9 @@ configuration, unit-annotated columns and build provenance.  CSV output is
 locale-independent (``.`` decimal point, ``,`` separator, ``\\n`` newlines)
 with floats at 17 significant digits so parsing returns bit-identical
 doubles; the metadata travels in ``#``-prefixed comment lines above the
-header.  Setting ``SOURCE_DATE_EPOCH`` pins the timestamp for reproducible
-output files.
+header.  A column is a list or a 1-D array, turned into Python values one
+block of rows at a time.  Setting ``SOURCE_DATE_EPOCH`` pins the timestamp
+for reproducible output files.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import subprocess
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Sequence
 
 from . import __version__
 
@@ -40,9 +42,11 @@ FORMATS = ("csv", "json")
 
 @dataclass
 class Column:
+    """A result column: ``values`` is a list or a 1-D array, converted one block at a time."""
+
     name: str
     unit: str
-    values: list
+    values: Sequence
 
     def header(self) -> str:
         return f"{self.name} [{self.unit}]" if self.unit else self.name
@@ -151,9 +155,10 @@ def _encode(block, enc) -> list[str]:
 
 
 def _blocks(columns: list[Column], enc):
-    """Per block of :data:`_BLOCK_ROWS` rows, each column's encoded values."""
+    """Per block of :data:`_BLOCK_ROWS` rows, each column's encoded values (an array's via ``tolist``)."""
     for start in range(0, len(columns[0].values) if columns else 0, _BLOCK_ROWS):
-        yield [_encode(c.values[start:start + _BLOCK_ROWS], enc) for c in columns]
+        blocks = (c.values[start:start + _BLOCK_ROWS] for c in columns)
+        yield [_encode(b.tolist() if hasattr(b, "tolist") else b, enc) for b in blocks]
 
 
 def _csv_chunks(envelope: ResultEnvelope):

@@ -77,8 +77,8 @@ class FloquetParams:
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p must lie in [0, 1], got {self.p}")
-        if not self.T > 0:
-            raise ValueError(f"T must be positive, got {self.T}")
+        if not 0 < self.T < math.inf:
+            raise ValueError(f"T must be positive and finite, got {self.T}")
         if not self.j_av >= 0 or math.isnan(self.gamma_av):
             raise ValueError(f"j_av must be non-negative and gamma_av not nan, got {self.j_av}, {self.gamma_av}")
 

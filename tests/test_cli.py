@@ -596,11 +596,12 @@ def _extreme_argv(draw):
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(argv=_extreme_argv())  # the examples are inputs that once ended in a numpy warning or an inf
+@given(argv=_extreme_argv())  # the examples are inputs that once ended in a numpy warning, an inf or a traceback
 @example(argv=["bloch-traj", "--periods", "2", "--substeps", "2", "--gamma-ratio", "1.7e308"])
 @example(argv=["bloch-traj", "--periods", "2", "--substeps", "2", "--gamma-ratio", "1e-310", "--j-av", "1e-310"])
 @example(argv=["ep-contour", "--samples", "3", "--omega-min", "5e-324"])
 @example(argv=["ep-contour", "--samples", "3", "--p", "5e-324", "--omega-max", "3.14159"])
+@example(argv=["ep-contour", "--samples", "3", "--j-av", "1e+154"])  # an interval index beyond int64
 @example(argv=["phase-diagram", "--grid", "3x3", "--gamma-min", "5e-324", "--j-av", "2"])
 @example(argv=["phase-diagram", "--grid", "3x3", "--j-av", "1e300", "--omega-min", "2", "--omega-max", "1e300"])
 def test_extreme_values_end_in_a_finite_result_or_one_error_line(argv, tmp_path, capsys):

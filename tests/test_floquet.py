@@ -69,6 +69,16 @@ class TestParams:
         with pytest.raises(ValueError):
             FloquetParams(p=0.5, T=1.0, j_av=-1.0, gamma_av=0.0)
 
+    @pytest.mark.parametrize("T", [math.inf, math.nan, -math.inf])
+    def test_rejects_non_finite_period(self, T):
+        with pytest.raises(ValueError, match="finite"):
+            FloquetParams(p=0.5, T=T, j_av=1.0, gamma_av=0.0)
+
+    def test_rejects_frequency_whose_period_overflows(self):
+        assert 2 * math.pi / 1e-309 == math.inf
+        with pytest.raises(ValueError, match="finite"):
+            FloquetParams.from_omega(0.5, 1e-309, 1.0, 0.0)
+
     @pytest.mark.parametrize("j_av,gamma_av", [(1.0, math.nan), (math.nan, 1.0)])
     def test_rejects_nan_rates(self, j_av, gamma_av):
         with pytest.raises(ValueError, match="nan"):
