@@ -7,12 +7,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from floquet_ep.cli import parse_config, run
 from floquet_ep.envelope import (
     _BLOCK_ROWS,
+    _CSV_FLOAT,
+    _csv_value,
     Column,
     RunConfig,
     ResultEnvelope,
@@ -194,10 +196,54 @@ def _float_arrays(draw):
     return np.column_stack([arr, -arr]).T[0] if draw(st.booleans()) else arr
 
 
+def _nan(payload):
+    return np.array([payload], dtype=np.uint64).view(np.float64)[0]
+
+
+def _half_distinct(n_rows, extra):
+    """``n_rows // 2 + extra`` distinct values, the rest repeats of the first."""
+    arr = np.zeros(n_rows)
+    arr[: n_rows // 2 + extra] = np.arange(n_rows // 2 + extra) * 0.1
+    return arr
+
+
+_EDGE_ARRAYS = {
+    "big_endian_repeats": np.array([1.5, 1.5, 2.0, 2.0] * 300, dtype=">f8"),
+    "big_endian_distinct": np.arange(1025, dtype=">f8") / 7,
+    "float32_repeats": np.tile(np.array([0.1, -0.0, 2.5], dtype=np.float32), 400),
+    "float32_distinct": np.arange(1025, dtype=np.float32) / 7,
+    "int64_repeats": np.repeat(np.arange(-3, 3, dtype=np.int64), 200),
+    "int64_distinct": np.arange(1025, dtype=np.int64) * 10**15,
+    "two_d_repeats": np.repeat(np.array([[0.5, -0.0], [1.0, 2.0]]), 600, axis=0),
+    "two_d_distinct": np.arange(2050.0).reshape(1025, 2) / 3,
+    "nan_payloads": np.tile([_nan(0x7FF8000000000000), _nan(0x7FF8000000000001), _nan(0xFFF8000000000000),
+                             1.0, -0.0, 0.0, np.inf], 300),
+    "exactly_half_distinct": _half_distinct(1024, 0),
+    "half_plus_one_distinct": _half_distinct(1024, 1),
+    "odd_half_distinct": _half_distinct(1025, 0),
+    "odd_half_plus_one_distinct": _half_distinct(1025, 1),
+    "one_nan_among_finite": np.where(np.arange(1025) == 700, np.nan, np.linspace(-1.0, 1.0, 1025)),
+    "one_inf_among_repeats": np.where(np.arange(1025) == 3, -np.inf, np.arange(1025) % 4 * 0.25),
+    **{f"length_{n}_{kind}": arr for n in (0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1)
+       for kind, arr in (("repeats", np.arange(n) % 5 / 3), ("distinct", np.arange(n) / 3 - 1.0))},
+}
+
+
+def _edge_examples(test):
+    """Run ``test`` on every array of :data:`_EDGE_ARRAYS`, with and without the text column."""
+    for arr in _EDGE_ARRAYS.values():
+        test = example(arr, False)(example(arr, True)(test))
+    return test
+
+
 @settings(max_examples=40, deadline=None)
 @given(_float_arrays(), st.booleans())
+@_edge_examples
 def test_array_column_encodes_as_its_list(arr, with_text):
-    """An array column and its ``tolist`` give the same bytes, also beside a column of strings."""
+    """An array column and its ``tolist`` give the same bytes, also beside a
+    column of strings; the edge examples add other dtypes and shapes, nan
+    payloads, either side of the half-distinct table rule and row counts
+    around a block."""
     tags = [("unitary", "thermal")[i % 3 == 0] for i in range(len(arr))]
 
     def envelope(values):
@@ -225,3 +271,33 @@ def test_phase_map_write_peak_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 10e6
+
+
+def test_trajectory_write_peak_memory(tmp_path):
+    """fig2b holds a table of distinct values for each of its five repeating
+    angle and coordinate columns while it is written: the traced peak stays
+    below 6 MB (2.4 MB before the tables, 4.3 MB with them)."""
+    argv = ["bloch-traj", "--gamma-ratio", "1.25", "--periods", "200", "--output", str(tmp_path / "traj.csv")]
+    tracemalloc.start()
+    try:
+        write_result(run(parse_config(argv)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
+
+
+def test_phase_map_formats_each_distinct_value_once(tmp_path, monkeypatch):
+    """A 300x300 phase map has 300 gains, 300 frequencies and 2 phase codes:
+    602 float-to-text conversions, where a per-block memo made 26,936."""
+    calls = []
+
+    def counting(enc):
+        return lambda value: calls.append(value) or enc(value)
+
+    monkeypatch.setattr("floquet_ep.envelope._csv_value", counting(_csv_value))
+    monkeypatch.setattr("floquet_ep.envelope._CSV_FLOAT", counting(_CSV_FLOAT))
+    cfg = parse_config(["phase-diagram", "--grid", "300x300", "--quantity", "phase",
+                        "--output", str(tmp_path / "phase.csv")])
+    write_result(run(cfg))
+    assert len(calls) <= 602
