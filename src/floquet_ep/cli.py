@@ -21,7 +21,7 @@ from .bloch import equal_superposition_xyz, evolve_state
 from .envelope import Column, RunConfig, make_envelope
 from .floquet import FloquetParams, _areas, _generator
 from .sweep import AxisSpec, GridSpec, Quantity, compute_heatmap, trace_contours
-from .two_qubit import TwoQubitParams, density_from_label, entanglement_timeseries
+from .two_qubit import TwoQubitParams, _timeseries, density_from_label
 
 __all__ = ["UsageError", "parse_config", "run", "main"]
 
@@ -103,17 +103,14 @@ def _run_two_qubit(cfg: RunConfig) -> list[Column]:
     rho0 = density_from_label(p["init"])
     t_grid = np.linspace(0.0, p["t_max"], p["steps"] + 1)
     combos = [(g, k) for g in p["gamma"] for k in p["kx"]]
-    columns: list[Column] = []
-    for idx, (gamma, kx) in enumerate(combos):
-        params = TwoQubitParams(j=p["j"], gamma=gamma, kx=kx)
-        records = entanglement_timeseries(rho0, params, t_grid)
-        if idx == 0:
-            columns.append(Column("jt", "dimensionless", [r.time for r in records]))
+    columns = []
+    for gamma, kx in combos:  # j t is the same for every rate pair; it is finite once a kernel succeeds
+        jt, c, s_u, s_t = _timeseries(rho0, TwoQubitParams(j=p["j"], gamma=gamma, kx=kx), t_grid)
         suffix = "" if len(combos) == 1 else f"_g{gamma:g}_kx{kx:g}"
-        columns.append(Column(f"concurrence{suffix}", "dimensionless", [r.concurrence for r in records]))
-        columns.append(Column(f"entropy_unitary{suffix}", "bit", [r.entropy_unitary for r in records]))
-        columns.append(Column(f"entropy_thermal{suffix}", "bit", [r.entropy_thermal for r in records]))
-    return columns
+        columns += [Column(f"concurrence{suffix}", "dimensionless", c),
+                    Column(f"entropy_unitary{suffix}", "bit", s_u),
+                    Column(f"entropy_thermal{suffix}", "bit", s_t)]
+    return [Column("jt", "dimensionless", jt), *columns]
 
 
 _RUNNERS = {

@@ -6,10 +6,15 @@ unitary qubit (Rabi drive along sigma_x).  The Hermitian coupling acts as
 sigma_x (x) sigma_x with strength kx.  The pair Hamiltonian has a
 second-order exceptional point at gamma = kx.
 
-Post-selection keeps the evolved density matrix normalized at every time, in
-both PT phases; all evolution here goes through the closed-form non-unitary
-propagator, evaluated for a whole time grid in batched array passes (the
-scalar public functions are one-time calls into the same helpers).
+Post-selection keeps the evolved state normalized at every time, in both PT
+phases.  All evolution goes through the closed-form non-unitary propagator G,
+for a whole time grid in batched array passes, applied to a factor of the
+state: one ``eigh`` of the initial state gives ``rho0 = Phi Phi^dagger``
+(rank 1 for pure starts, 4 for mixed ones), and ``psi = G Phi / |G Phi|``
+is the post-selected state ``psi psi^dagger``.  The concurrence is Wootters'
+[PRL 80, 2245 (1998)] in Uhlmann's form [PRA 62, 032307 (2000)], from the
+singular values of ``tau = psi^T (sy(x)sy) psi``: no evolved state is
+diagonalized for it.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ EP_REL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class TwoQubitParams:
-    """Drive, gain and coupling rates of the qubit pair (all >= 0)."""
+    """Drive, gain and coupling rates of the qubit pair (all finite and >= 0)."""
 
     j: float
     gamma: float
@@ -61,8 +66,8 @@ class TwoQubitParams:
 
     def __post_init__(self):
         for name in ("j", "gamma", "kx"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite, got {getattr(self, name)}")
 
     @property
     def delta(self) -> complex:
@@ -151,11 +156,13 @@ def propagator_analytic(params: TwoQubitParams, t: float) -> np.ndarray:
 
 
 def validate_density(rho) -> np.ndarray:
-    """Check Hermiticity and unit trace to 1e-11 and positivity to -1e-10;
-    returns the matrix as a complex ndarray."""
+    """Check finiteness, Hermiticity and unit trace to 1e-11 and positivity
+    to -1e-10; returns the matrix as a complex ndarray."""
     a = np.asarray(rho, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] not in (2, 4):
         raise ValueError(f"density matrix must be 2x2 or 4x4, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("density matrix has a non-finite entry")
     if np.abs(a - a.conj().T).max() > 1e-11:
         raise ValueError("density matrix is not Hermitian")
     if abs(np.trace(a).real - 1.0) > 1e-11 or abs(np.trace(a).imag) > 1e-11:
@@ -165,18 +172,28 @@ def validate_density(rho) -> np.ndarray:
     return a
 
 
+def _pair_density(rho) -> np.ndarray:
+    a = validate_density(rho)
+    if a.shape[0] != 4:
+        raise ValueError(f"expected a 4x4 pair density matrix, got shape {a.shape}")
+    return a
+
+
+def _factor(rho: np.ndarray) -> np.ndarray:
+    """``Phi = V sqrt(w)`` over the positive eigenvalues w of a validated 4x4 ``rho``, shape (4, r)."""
+    w, v = np.linalg.eigh(rho)
+    return v[:, w > 0] * np.sqrt(w[w > 0])
+
+
 @np.errstate(over="ignore", invalid="ignore")
-def _evolve(rho: np.ndarray, params: TwoQubitParams, ts: np.ndarray) -> np.ndarray:
-    """``G rho G^dagger / tr(G rho G^dagger)`` at every time in ``ts`` for a
-    validated 4x4 ``rho``, shape (n, 4, 4)."""
-    g = _propagators(params, ts)
-    out = g @ rho @ g.conj().swapaxes(-1, -2)
-    tr = np.trace(out, axis1=1, axis2=2).real
+def _evolve(phi: np.ndarray, params: TwoQubitParams, ts: np.ndarray) -> np.ndarray:
+    """``psi = G Phi / sqrt(tr)``, ``tr = |G Phi|^2``, at every time in ``ts``; shape (n, 4, r)."""
+    psi = _propagators(params, ts) @ phi
+    tr = (psi.real**2 + psi.imag**2).sum(axis=(1, 2))
     bad = ~((tr > 0) & np.isfinite(tr))
     if bad.any():
         raise NumericsError(f"propagated trace {tr[bad.argmax()]} is not a positive finite number")
-    out = out / tr[:, None, None]
-    return (out + out.conj().swapaxes(-1, -2)) / 2
+    return psi / np.sqrt(tr)[:, None, None]
 
 
 def evolve_density(rho0, params: TwoQubitParams, t: float) -> np.ndarray:
@@ -187,33 +204,25 @@ def evolve_density(rho0, params: TwoQubitParams, t: float) -> np.ndarray:
     invertible propagator; a numeric guard protects against pathological
     input anyway.
     """
-    rho = validate_density(rho0)
-    if rho.shape[0] != 4:
-        raise ValueError("pair evolution needs a 4x4 density matrix")
-    return _evolve(rho, params, np.array([float(t)]))[0]
+    psi = _evolve(_factor(_pair_density(rho0)), params, np.array([float(t)]))[0]
+    return psi @ psi.conj().T
 
 
-def _concurrence(rhos: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(rhos)
-    root = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ v.conj().swapaxes(-1, -2)
-    c = np.linalg.svd(root @ _YY @ root.conj(), compute_uv=False)
-    diff = c[..., 0] - c[..., 1] - c[..., 2] - c[..., 3]
+def _concurrence(psi: np.ndarray) -> np.ndarray:
+    """Concurrence of ``psi psi^dagger`` for factors of shape (..., 4, r)."""
+    s = np.linalg.svd(psi.swapaxes(-1, -2) @ _YY @ psi, compute_uv=False)
+    diff = s[..., 0] - s[..., 1:].sum(axis=-1)
     return np.where(diff > 0, diff, 0.0)
 
 
 def concurrence(rho) -> float:
-    """Two-qubit concurrence of a density matrix.
+    """Two-qubit concurrence of a density matrix, ``max(0, s1 - s2 - ...)``.
 
-    The four characteristic values are the singular values of
-    ``sqrt(rho) (sy(x)sy) conj(sqrt(rho))`` (equivalently the square roots
-    of the spectrum of ``rho (sy(x)sy) conj(rho) (sy(x)sy)``, but without
-    squaring the conditioning); eigenvalues of rho below -1e-10 are rejected
-    as invalid input, small negatives are clamped to zero.
+    The s are Wootters' characteristic values: the singular values of Uhlmann's
+    ``tau = Phi^T (sy(x)sy) Phi`` for ``rho = Phi Phi^dagger`` (no matrix square
+    root); eigenvalues of rho below -1e-10 are rejected as invalid input.
     """
-    a = validate_density(rho)
-    if a.shape[0] != 4:
-        raise ValueError("concurrence is defined for 4x4 density matrices")
-    return float(_concurrence(a))
+    return float(_concurrence(_factor(_pair_density(rho))))
 
 
 def concurrence_closed_form_00(params: TwoQubitParams, t: float) -> float:
@@ -259,9 +268,7 @@ _PARTIAL_TRACE = {Qubit.UNITARY: "...ijil->...jl", Qubit.THERMAL: "...ijkj->...i
 
 def reduced_density(rho, which: Qubit) -> np.ndarray:
     """Partial trace onto one qubit (first factor thermal, second unitary)."""
-    a = validate_density(rho)
-    if a.shape[0] != 4:
-        raise ValueError("reduced_density expects a 4x4 density matrix")
+    a = _pair_density(rho)
     if not isinstance(which, Qubit):
         raise ValueError(f"unknown qubit selector {which!r}")
     return np.einsum(_PARTIAL_TRACE[which], a.reshape(2, 2, 2, 2))
@@ -282,6 +289,16 @@ def entropy(rho) -> float:
 _TIME_CHUNK = 1024
 
 
+def _timeseries(rho0: np.ndarray, params: TwoQubitParams, ts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(j t, C, S_u, S_t)`` arrays over the times ``ts`` for a validated 4x4 ``rho0``."""
+    phi, chunks = _factor(rho0), []
+    for lo in range(0, len(ts), _TIME_CHUNK):
+        psi = _evolve(phi, params, ts[lo : lo + _TIME_CHUNK])
+        parts = (psi @ psi.conj().swapaxes(-1, -2)).reshape(-1, 2, 2, 2, 2)
+        chunks.append([_concurrence(psi), *(_entropy(np.einsum(_PARTIAL_TRACE[q], parts)) for q in Qubit)])
+    return (params.j * ts, *map(np.concatenate, zip(*chunks)))
+
+
 def entanglement_timeseries(rho0, params: TwoQubitParams, t_grid) -> list[EntanglementRecord]:
     """Concurrence and single-qubit entropies over a monotone time grid.
 
@@ -292,20 +309,10 @@ def entanglement_timeseries(rho0, params: TwoQubitParams, t_grid) -> list[Entang
     ts = np.asarray(t_grid, dtype=float)
     if ts.ndim != 1 or len(ts) == 0:
         raise ValueError("t_grid must be a non-empty 1-d sequence")
-    if np.any(np.diff(ts) <= 0):
-        raise ValueError("t_grid must be strictly increasing")
-    rho0 = validate_density(rho0)
-    if rho0.shape[0] != 4:
-        raise ValueError("pair evolution needs a 4x4 density matrix")
-    records = []
-    for lo in range(0, len(ts), _TIME_CHUNK):
-        chunk = ts[lo : lo + _TIME_CHUNK]
-        rhos = _evolve(rho0, params, chunk)
-        parts = rhos.reshape(-1, 2, 2, 2, 2)
-        s_u, s_t = (_entropy(np.einsum(_PARTIAL_TRACE[q], parts)) for q in (Qubit.UNITARY, Qubit.THERMAL))
-        cols = (params.j * chunk, _concurrence(rhos), s_u, s_t)
-        records += [EntanglementRecord(*row) for row in zip(*(c.tolist() for c in cols))]
-    return records
+    if not (np.all(np.isfinite(ts)) and np.all(np.diff(ts) > 0)):
+        raise ValueError("t_grid must be finite and strictly increasing")
+    cols = _timeseries(_pair_density(rho0), params, ts)
+    return [EntanglementRecord(*row) for row in zip(*(c.tolist() for c in cols))]
 
 
 def ground_density() -> np.ndarray:

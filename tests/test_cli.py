@@ -199,20 +199,47 @@ def test_literal_choices_match_their_sources():
     assert _PAIR_INITS == tuple(_DENSITY_LABELS)
 
 
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _perfbench_module(monkeypatch, name):
+    """Load ``perfbench/<name>.py`` under its own name for one test: ``checks``
+    imports ``workloads``, and dataclasses look their module up."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(name, _PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_perfbench_mirrors_the_cli_defaults(monkeypatch):
     """perfbench/workloads.py keeps its own copy of the defaults, with the
     grid as a tuple and the unset keys as None; it must not drift."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look their module up
-    spec.loader.exec_module(workloads)
+    workloads = _perfbench_module(monkeypatch, "workloads")
     mirror = {
         command: {k: "x".join(map(str, v)) if isinstance(v, tuple) else v for k, v in keys.items() if v is not None}
         for command, keys in workloads.DEFAULTS.items()
     }
     assert mirror == _DEFAULTS
+
+
+def test_perfbench_output_checks_pass(monkeypatch, tmp_path, capsys):
+    """Every preset and every seed-7 benchmark invocation exits 0 and passes
+    perfbench's independent checks: closed forms recomputed from the
+    parameters alone, and the presets' recorded row samples."""
+    workloads = _perfbench_module(monkeypatch, "workloads")
+    checks = _perfbench_module(monkeypatch, "checks")
+    reference = checks.load_reference()
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    calls = [workloads.preset_call(name) for name in workloads.PRESETS]
+    calls += [inv for w in workloads.WORKLOADS for inv in workloads.generate(w, 7)]
+    for inv in {inv.key: inv for inv in calls}.values():
+        assert main(inv.argv) == 0, (inv.key, capsys.readouterr().err)
+        checks.check_output(inv, tmp_path / inv.output, reference)
+        if inv.same_as is not None:
+            assert (tmp_path / inv.output).read_bytes() == (tmp_path / f"{inv.same_as}.{inv.fmt}").read_bytes()
 
 
 _TEXT = st.one_of(

@@ -11,10 +11,14 @@ from floquet_ep.envelope import parse_csv
 from floquet_ep.floquet import PhaseKind
 from floquet_ep.linalg import IDENTITY_2, PAULI_X, PAULI_Z, eig, expm, kron
 from floquet_ep.two_qubit import (
+    _PARTIAL_TRACE,
+    _YY,
     EntanglementRecord,
     Qubit,
     TwoQubitParams,
+    _entropy,
     _propagators,
+    _timeseries,
     bell_density,
     concurrence,
     concurrence_closed_form_00,
@@ -56,6 +60,24 @@ def reference_records(rho0, params, t_grid):
     return np.array(rows)
 
 
+def spectral_timeseries(rho0, params, ts):
+    """Oracle for the factored pair path: the symmetrized ``G rho G^dagger / tr``
+    at every time, and its concurrence from the matrix square root (batched
+    ``eigh``, negative eigenvalues clamped) and the SVD of
+    ``sqrt(rho) (sy(x)sy) conj(sqrt(rho))``."""
+    g = _propagators(params, ts)
+    out = g @ rho0 @ g.conj().swapaxes(-1, -2)
+    out = out / np.trace(out, axis1=1, axis2=2).real[:, None, None]
+    rhos = (out + out.conj().swapaxes(-1, -2)) / 2
+    w, v = np.linalg.eigh(rhos)
+    root = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    c = np.linalg.svd(root @ _YY @ root.conj(), compute_uv=False)
+    diff = c[..., 0] - c[..., 1] - c[..., 2] - c[..., 3]
+    parts = rhos.reshape(-1, 2, 2, 2, 2)
+    s_u, s_t = (_entropy(np.einsum(_PARTIAL_TRACE[q], parts)) for q in (Qubit.UNITARY, Qubit.THERMAL))
+    return params.j * ts, np.where(diff > 0, diff, 0.0), s_u, s_t
+
+
 def random_pure_density(rng):
     psi = rng.normal(size=4) + 1j * rng.normal(size=4)
     psi /= np.linalg.norm(psi)
@@ -76,6 +98,13 @@ class TestParams:
     def test_rejects_negative_rates(self):
         with pytest.raises(ValueError):
             TwoQubitParams(-0.1, 1.0, 1.0)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["j", "gamma", "kx"])
+    def test_rejects_non_finite_rates(self, name, value):
+        rates = {"j": 0.5, "gamma": 1.0, "kx": 1.0, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be non-negative and finite"):
+            TwoQubitParams(**rates)
 
 
 class TestHamiltonian:
@@ -202,6 +231,14 @@ class TestConcurrence:
         bad[0, 1] = 0.3  # not Hermitian
         with pytest.raises(ValueError):
             concurrence(bad)
+
+    @pytest.mark.parametrize("check", [validate_density, concurrence])
+    def test_rejects_non_finite_density(self, check):
+        pair = np.eye(4, dtype=complex) / 4
+        pair[0, 1] = pair[1, 0] = np.nan
+        for bad in (pair, np.full((4, 4), np.nan)):
+            with pytest.raises(ValueError, match="non-finite"):
+                check(bad)
 
 
 class TestClosedFormConcurrence:
@@ -353,6 +390,11 @@ class TestTimeseries:
         with pytest.raises(ValueError):
             entanglement_timeseries(ground_density(), SYMMETRIC, [0.0, 0.0, 1.0])
 
+    @pytest.mark.parametrize("t_grid", [[0.0, math.inf], [0.0, math.nan], [math.nan, 1.0]])
+    def test_rejects_non_finite_grid(self, t_grid):
+        with pytest.raises(ValueError, match="t_grid must be finite and strictly increasing"):
+            entanglement_timeseries(ground_density(), SYMMETRIC, t_grid)
+
 
 _RATE = st.floats(0.0, 1e3)
 
@@ -370,6 +412,23 @@ class TestPairProperties:
         values = np.array([[r.concurrence, r.entropy_unitary, r.entropy_thermal] for r in records])
         assert np.all(np.isfinite(values))
         assert values.min() >= 0.0 and values.max() <= 1.0 + 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(rank=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), j=st.floats(0.0, 2.0),
+           kx=st.floats(0.1, 2.0), ratio=st.one_of(st.floats(0.0, 0.99), st.just(1.0), st.floats(1.01, 3.0)),
+           t_max=st.floats(1e-3, 40.0))
+    @example(rank=1, seed=0, j=0.5, kx=1.0, ratio=1.0, t_max=40.0)
+    @example(rank=4, seed=0, j=0.5, kx=1.0, ratio=1.0, t_max=40.0)
+    def test_factored_path_equals_spectral_oracle(self, rank, seed, j, kx, ratio, t_max):
+        # any valid start of rank 1-4, below, at (ratio 1) and above the EP
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+        rho0 = a @ a.conj().T
+        rho0 /= np.trace(rho0).real
+        params = TwoQubitParams(j=j, gamma=kx * ratio, kx=kx)
+        ts = np.linspace(0.0, t_max, 33)
+        for got, want in zip(_timeseries(validate_density(rho0), params, ts), spectral_timeseries(rho0, params, ts)):
+            assert np.abs(got - want).max() <= 1e-12
 
     @settings(max_examples=100, deadline=None)
     @given(j=st.floats(0.0, 10.0), gamma=_RATE, kx=_RATE, t=st.floats(0.0, 1e4))
