@@ -49,7 +49,7 @@ def _run_ep_contour(cfg: RunConfig) -> list[Column]:
     contours = trace_contours(p["p"], p["j_av"], (p["omega_min"], p["omega_max"]), p["samples"])
     pj = p["p"] * p["j_av"]
     blocks = [np.column_stack([np.full((len(b.points), 2), (b.branch, b.resonance_index), dtype=float),
-                               np.array(b.points, dtype=float).reshape(-1, 2)[:, ::-1]])  # points are (gamma, omega)
+                               b.points[:, ::-1]])  # points are (gamma, omega)
               for b in contours.branches]
     cols = np.concatenate([np.empty((0, 4))] + blocks).T
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):

@@ -1,11 +1,9 @@
 """Exact small-dimension complex linear algebra.
 
-Everything in this package works on 2x2 and 4x4 complex matrices, so we can
-afford closed forms wherever they exist: Pauli decompositions, the 2x2 matrix
-exponential and logarithm, and trace/determinant eigensolutions.  The 4x4
-paths delegate to numpy dense routines, apart from the 4x4 exponential,
-which imports ``scipy.linalg`` on first use so that importing the package
-does not pay for scipy.
+Everything in this package works on 2x2 and 4x4 complex matrices.  Pauli
+decompositions and the 2x2 matrix logarithm are closed forms; the matrix
+exponential is one numpy scaling-and-squaring routine and the eigensolver
+is numpy's dense one, each the same path for both sizes.
 
 All functions are pure and operate on immutable inputs; callers may share
 results freely between threads.
@@ -130,35 +128,23 @@ def pauli_decompose(m) -> PauliDecomposition:
     return PauliDecomposition(complex(scalar), vector)
 
 
-def _sinhc(z: complex) -> complex:
-    """sinh(z)/z with a series fallback near zero to avoid cancellation."""
-    if abs(z) < 1e-4:
-        z2 = z * z
-        return 1.0 + z2 / 6.0 + z2 * z2 / 120.0
-    return cmath.sinh(z) / z
-
-
 def expm(m) -> np.ndarray:
-    """Matrix exponential for 2x2 and 4x4 complex matrices.
-
-    The 2x2 case uses the exact Pauli closed form
-    ``exp(a*I + b.sigma) = e^a (cosh|b| I + sinh|b|/|b| b.sigma)``, which
-    stays accurate through ``|b| -> 0``.  The 4x4 case uses scaling-and-
-    squaring (scipy).
-    """
+    """Matrix exponential for 2x2 and 4x4 complex matrices by scaling and squaring
+    [Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)]: the degree-18 Taylor
+    polynomial (Horner form) of ``m / 2^s``, whose 1-norm is below 1/2, squared
+    s times.  Raises ``OverflowError`` if the result does not fit doubles."""
     a = _as_matrix(m)
     _require_finite(a)
-    if a.shape[0] == 4:
-        import scipy.linalg
-
-        return scipy.linalg.expm(a)
-    dec = pauli_decompose(a)
-    r = dec.vector_norm
-    coeff = cmath.exp(dec.scalar)
-    out = coeff * cmath.cosh(r) * np.array(IDENTITY_2)
-    shc = coeff * _sinhc(r)
-    for c, pauli in zip(dec.vector, _PAULIS):
-        out = out + shc * c * pauli
+    s = max(0, math.frexp(np.abs(a).sum(axis=0).max())[1] + 1)  # 2^s > 2 |a|_1
+    x, eye = a * 0.5**s, np.eye(a.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = eye
+        for k in range(18, 0, -1):
+            out = eye + (x @ out) / k
+        for _ in range(s):
+            out = out @ out
+    if not np.all(np.isfinite(out)):
+        raise OverflowError("matrix exponential overflows doubles")
     return out
 
 
@@ -223,39 +209,16 @@ def logm_2x2(m, period: float) -> PauliDecomposition:
     return PauliDecomposition(complex(scalar), vector)
 
 
-def _eig_2x2(a: np.ndarray):
-    tr = a[0, 0] + a[1, 1]
-    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    disc = cmath.sqrt(complex(tr * tr - 4 * det))
-    lams = ((tr + disc) / 2, (tr - disc) / 2)
-    scale = np.abs(a).max() or 1.0
-    pairs = []
-    for i, lam in enumerate(lams):
-        c1 = np.array([a[0, 1], lam - a[0, 0]], dtype=complex)
-        c2 = np.array([lam - a[1, 1], a[1, 0]], dtype=complex)
-        v = c1 if np.linalg.norm(c1) >= np.linalg.norm(c2) else c2
-        if np.linalg.norm(v) < 1e-14 * scale:
-            # (near-)scalar matrix: any orthonormal pair will do
-            v = np.array([1.0, 0.0], dtype=complex) if i == 0 else np.array([0.0, 1.0], dtype=complex)
-        pairs.append((complex(lam), v / np.linalg.norm(v)))
-    return pairs
-
-
 def eig(m) -> list[tuple[complex, np.ndarray]]:
     """Eigenpairs ``(lambda, right eigenvector)`` with unit-norm vectors.
 
-    2x2 inputs are solved in closed form from trace and determinant (first
-    the ``+`` root, then the ``-`` root of the discriminant); 4x4 inputs use
-    the dense QR algorithm.  Every returned pair satisfies
-    ``|m v - lambda v| <= 1e-10 * |m|_F``.
+    The dense QR algorithm (``numpy.linalg.eig``) for both sizes.  Every
+    returned pair satisfies ``|m v - lambda v| <= 1e-10 * |m|_F``.
     """
     a = _as_matrix(m)
     _require_finite(a)
-    if a.shape[0] == 2:
-        pairs = _eig_2x2(a)
-    else:
-        w, V = np.linalg.eig(a)
-        pairs = [(complex(w[i]), V[:, i] / np.linalg.norm(V[:, i])) for i in range(a.shape[0])]
+    w, V = np.linalg.eig(a)
+    pairs = [(complex(w[i]), V[:, i] / np.linalg.norm(V[:, i])) for i in range(a.shape[0])]
     norm = np.linalg.norm(a) or 1.0
     for lam, v in pairs:
         resid = np.linalg.norm(a @ v - lam * v)

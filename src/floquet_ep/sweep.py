@@ -118,18 +118,19 @@ def compute_heatmap(grid: GridSpec, quantity: Quantity) -> HeatMap:
     return HeatMap(grid=grid, quantity=quantity, values=values)
 
 
-@dataclass
+@dataclass(eq=False)
 class ContourBranch:
     """Points of one exceptional-contour arm.
 
     ``branch`` is the sign (+1/-1) solved for in the contour condition;
     ``resonance_index`` k labels the inter-resonance frequency interval
-    the points fall in; points are (gamma_av, omega) in raw units.
+    the points fall in; ``points`` is an (n, 2) float64 array of
+    ``(gamma_av, omega)`` rows in raw units, in frequency order.
     """
 
     branch: int
     resonance_index: int
-    points: list[tuple[float, float]] = field(default_factory=list)
+    points: np.ndarray = field(repr=False)
 
 
 @dataclass
@@ -142,8 +143,8 @@ def trace_contours(p: float, j_av: float, omega_range: tuple[float, float], n_sa
 
     The contour condition is exactly invertible per frequency, so the arms
     are sampled directly rather than path-followed, in one array pass per
-    branch sign.  Points are grouped by (branch sign, inter-resonance interval
-    index), in frequency order.
+    branch sign.  Each branch holds the points of one (branch sign,
+    inter-resonance interval index), in frequency order.
     """
     lo, hi = omega_range
     if not (lo > 0 and hi > lo):
@@ -154,15 +155,15 @@ def trace_contours(p: float, j_av: float, omega_range: tuple[float, float], n_sa
     omegas = np.linspace(lo, hi, n_samples)
     T, drive_area, _ = _areas(p, omegas, j_av, 0.0)
     intervals = np.floor(2 * (p * j_av / omegas))  # = floor(2 p j_av / omega), finite with drive_area
-    groups: dict[tuple[int, int], ContourBranch] = {}
+    branches = []
     for branch in (1, -1):
         gammas = _contour_gamma(drive_area, (1 - p) * T, branch)
         found = np.flatnonzero(~np.isnan(gammas))
-        for run in np.split(found, np.flatnonzero(np.diff(intervals[found])) + 1):  # one run per interval
+        for run in np.split(found, np.flatnonzero(np.diff(intervals[found])) + 1):  # monotone: one run per interval
             if run.size:
-                key = (branch, int(intervals[run[0]]))
-                groups.setdefault(key, ContourBranch(*key)).points.extend(zip(gammas[run].tolist(), omegas[run].tolist()))
-    return ContourSet(branches=sorted(groups.values(), key=lambda b: (b.resonance_index, -b.branch)))
+                points = np.column_stack([gammas[run], omegas[run]])
+                branches.append(ContourBranch(branch, int(intervals[run[0]]), points))
+    return ContourSet(branches=sorted(branches, key=lambda b: (b.resonance_index, -b.branch)))
 
 
 @dataclass(frozen=True)

@@ -130,9 +130,13 @@ def _f0_cos(params: TwoQubitParams, ts: np.ndarray) -> tuple[np.ndarray, np.ndar
 @np.errstate(over="ignore", invalid="ignore")  # overflow yields non-finite entries; callers check
 def _propagators(params: TwoQubitParams, ts: np.ndarray) -> np.ndarray:
     """Closed-form propagators at every time in ``ts``, shape (n, 4, 4); in
-    the broken phase divided by e^{kappa t}, as :func:`_f0_cos` is."""
+    the broken phase divided by e^{kappa t}, as :func:`_f0_cos` is.  Raises
+    ``ValueError`` where the pair rates, ``j * t`` or ``Re(delta) * t`` overflow doubles."""
     if np.any(ts < 0):
         raise ValueError("t must be non-negative")
+    for name, value in (("kx^2 - gamma^2", params.delta), ("j * t", params.j * ts), ("Re(delta) * t", params.delta.real * ts)):
+        if not np.all(np.isfinite(value)):  # Re(delta) only: the broken phase's growth is scaled out
+            raise ValueError(f"{name} overflows doubles at {params} and t up to {ts.max():g}")
     f0, cz = _f0_cos(params, ts)
     pp, pm = cz + params.gamma * f0, cz - params.gamma * f0
     c, s, kf = np.cos(params.j * ts), np.sin(params.j * ts), params.kx * f0
@@ -149,7 +153,8 @@ def propagator_analytic(params: TwoQubitParams, t: float) -> np.ndarray:
     delta -> 0 exceptional-point limit (where the entries become polynomial
     in t times trig in j*t), and the broken phase where delta is imaginary
     and the trig functions turn hyperbolic.  Continuous across the PT
-    transition by construction.
+    transition by construction.  Raises ``ValueError`` naming the pair
+    rates, ``j * t`` or ``Re(delta) * t`` where they overflow doubles.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         return _propagators(params, np.array([float(t)]))[0] * np.exp(params.delta.imag * float(t))

@@ -743,6 +743,25 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0
         assert proc.stdout.strip() == "False"
 
+    def test_runs_without_scipy(self, tmp_path):
+        # scipy is a test extra only: every module, both matrix sizes and a preset run without it
+        code = (
+            "import sys; sys.modules['scipy'] = None\n"
+            "import importlib, numpy as np, floquet_ep\n"
+            "for name in ('args', 'bloch', 'cli', 'envelope', 'floquet', 'linalg', 'presets', 'sweep', 'two_qubit'):\n"
+            "    importlib.import_module('floquet_ep.' + name)\n"
+            "from floquet_ep.linalg import eig, expm\n"
+            "for dim in (2, 4):\n"
+            "    m = np.arange(dim * dim).reshape(dim, dim) / dim**2 + 1j * np.eye(dim)\n"
+            "    assert np.isfinite(expm(m)).all() and len(eig(m)) == dim\n"
+            "from floquet_ep import args\n"
+            "sys.exit(args.main(['preset', 'fig3c', '--output', sys.argv[1]]))\n"
+        )
+        out = tmp_path / "fig3c.csv"
+        proc = _fresh_python("-c", code, str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert out.read_text().count("\n") > 100
+
     def test_package_import_leaves_numpy_unloaded(self):
         code = "import os, sys; env = dict(os.environ); import floquet_ep; print('numpy' in sys.modules, env == os.environ)"
         assert _fresh_python("-c", code).stdout.split() == ["False", "True"]

@@ -101,7 +101,7 @@ class TestExpm:
                 assert abs(det - expected) < 1e-10 * abs(expected)
 
     def test_small_vector_norm_series_branch(self):
-        # coefficients below the series threshold must still be exact
+        # a tiny generator takes no squaring: the Taylor polynomial alone must be exact
         m = 1e-6 * PAULI_Y
         got = expm(m)
         expected = np.cosh(1e-6) * np.array(IDENTITY_2) + np.sinh(1e-6) * PAULI_Y
@@ -110,6 +110,23 @@ class TestExpm:
     def test_rejects_nonfinite(self):
         m = np.array([[np.nan, 0], [0, 1]], dtype=complex)
         with pytest.raises(ValueError):
+            expm(m)
+
+    @pytest.mark.parametrize("norm", [1e-3, 0.5, 1.0, 5.0, 20.0, 60.0])
+    def test_matches_scipy(self, norm):
+        import scipy.linalg  # a test-only oracle: the package itself needs numpy only
+
+        rng = np.random.default_rng(9)
+        for dim in (2, 4):
+            for _ in range(50):
+                m = random_complex(rng, (dim, dim))
+                m *= norm / np.abs(m).sum(axis=0).max()
+                want = scipy.linalg.expm(m)
+                assert np.linalg.norm(expm(m) - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("m", [1000 * PAULI_Z, kron(1000 * PAULI_Z, IDENTITY_2)], ids=["2x2", "4x4"])
+    def test_overflow_raises(self, m):
+        with pytest.raises(OverflowError):
             expm(m)
 
 

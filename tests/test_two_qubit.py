@@ -181,6 +181,19 @@ class TestPropagator:
         with pytest.raises(ValueError):
             propagator_analytic(SYMMETRIC, -0.1)
 
+    @pytest.mark.parametrize(
+        "params,t,cause",
+        [
+            (TwoQubitParams(1.7e308, 1.0, 1.0), 2.0, "j \\* t"),
+            (TwoQubitParams(1.0, 0.0, 1e200), 1.0, "kx\\^2 - gamma\\^2"),
+            (TwoQubitParams(1.0, 1e200, 0.0), 1.0, "kx\\^2 - gamma\\^2"),
+            (TwoQubitParams(1.0, 0.0, 1.5), 1.7e308, "Re\\(delta\\) \\* t"),
+        ],
+    )
+    def test_overflowing_phase_raises_naming_its_cause(self, params, t, cause):
+        with pytest.raises(ValueError, match=cause):
+            propagator_analytic(params, t)
+
 
 class TestEvolveDensity:
     def test_unitary_case_preserves_spectrum(self):
@@ -385,6 +398,26 @@ class TestTimeseries:
         want = [concurrence_closed_form_00(params, t) for t in np.linspace(0.0, float(t_max), 401)]
         assert np.abs(np.subtract(got, want)).max() <= 1e-8
         assert got[-1] == pytest.approx(params.kx / params.gamma, abs=1e-8)
+
+    def test_broken_phase_past_the_overflow_of_kappa_t_is_finite(self):
+        # kappa t overflows doubles; the scaled propagator does not
+        records = entanglement_timeseries(ground_density(), TwoQubitParams(0.5, 2.0, 1.0), [0.0, 1.5e308])
+        assert records[-1].concurrence == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "rates",
+        [["--j=1.7e+308"], ["--kx", "1e200", "--gamma", "0", "--t-max", "1e200"],
+         ["--gamma", "1e200", "--kx", "0", "--t-max", "1e200"]],
+    )
+    def test_overflowing_rates_or_times_exit_1_with_one_error_line(self, rates, tmp_path, capsys):
+        out = tmp_path / "pair.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["two-qubit", "--steps", "3", *rates, "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "overflow" in err and "trace" not in err
+        assert not out.exists()
 
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):
