@@ -18,30 +18,45 @@ import numpy as np
 
 from .args import UsageError, main, parse_config
 from .bloch import equal_superposition_xyz, evolve_state
-from .envelope import Column, RunConfig, make_envelope
+from .envelope import _BLOCK_ROWS, Column, RunConfig, make_envelope
 from .floquet import FloquetParams, _areas, _generator
-from .sweep import AxisSpec, GridSpec, Quantity, compute_heatmap, trace_contours
+from .sweep import AxisSpec, GridSpec, Quantity, _cells, trace_contours
 from .two_qubit import TwoQubitParams, _timeseries, density_from_label
 
 __all__ = ["UsageError", "parse_config", "run", "main"]
 
 
+class _Rows:
+    """A float64 column of ``n`` rows, computed a slice at a time by ``rows(flat row indices)``: never held whole."""
+
+    def __init__(self, n: int, rows):
+        self.n, self.rows = n, rows
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return self.rows(np.arange(*k.indices(self.n)))
+        return self.rows(np.array([range(self.n)[k]]))[0]
+
+    def __iter__(self):
+        return (x for i in range(0, self.n, _BLOCK_ROWS) for x in self[i : i + _BLOCK_ROWS])
+
+
 def _run_phase_diagram(cfg: RunConfig) -> list[Column]:
+    """Row ``i * n_omega + j`` holds gain i and frequency j, computed while it is written.  The areas are
+    monotone in both ratios, so a grid fails at its axis extremes, here, before the file opens."""
     p = cfg.parameters
-    grid = GridSpec(
-        gamma_axis=AxisSpec(p["gamma_min"], p["gamma_max"], p["grid"][0], p["gamma_scale"]),
-        omega_axis=AxisSpec(p["omega_min"], p["omega_max"], p["grid"][1], p["omega_scale"]),
-        p=p["p"],
-        j_av=p["j_av"],
-    )
-    hm = compute_heatmap(grid, Quantity(p["quantity"]))
-    n_gamma, n_omega = hm.values.shape
-    qname = p["quantity"].replace("-", "_")
-    return [
-        Column("gamma_ratio", "dimensionless", np.repeat(hm.gamma_values(), n_omega)),
-        Column("omega_ratio", "dimensionless", np.tile(hm.omega_values(), n_gamma)),
-        Column(qname, "dimensionless", hm.values.ravel()),
-    ]
+    grid = GridSpec(AxisSpec(p["gamma_min"], p["gamma_max"], p["grid"][0], p["gamma_scale"]),
+                    AxisSpec(p["omega_min"], p["omega_max"], p["grid"][1], p["omega_scale"]), p["p"], p["j_av"])
+    quantity, g, o = Quantity(p["quantity"]), grid.gamma_axis.values(), grid.omega_axis.values()
+    _cells(grid, quantity, np.array([[g.min()], [g.max()]]), np.array([o.min(), o.max()]))
+    n, n_rows = len(o), len(g) * len(o)
+    return [Column("gamma_ratio", "dimensionless", _Rows(n_rows, lambda idx: g[idx // n])),
+            Column("omega_ratio", "dimensionless", _Rows(n_rows, lambda idx: o[idx % n])),
+            Column(p["quantity"].replace("-", "_"), "dimensionless",
+                   _Rows(n_rows, lambda idx: _cells(grid, quantity, g[idx // n], o[idx % n])))]
 
 
 def _run_ep_contour(cfg: RunConfig) -> list[Column]:

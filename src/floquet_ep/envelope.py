@@ -5,10 +5,10 @@ configuration, unit-annotated columns and build provenance.  CSV output is
 locale-independent (``.`` decimal point, ``,`` separator, ``\\n`` newlines)
 with floats at 17 significant digits so parsing returns bit-identical
 doubles; the metadata travels in ``#``-prefixed comment lines above the
-header.  A column is a list or a 1-D array, turned into Python values one
-block of rows at a time; a float array column formats each distinct value
-once and its blocks look the text up.  Setting ``SOURCE_DATE_EPOCH`` pins
-the timestamp for reproducible output files.
+header.  A column is a list, a 1-D array or a row source (slices computed on
+request), turned into text a block of rows at a time; a float64 column keeps
+a running table of formatted bit patterns, so a repeating column formats each
+value once.  ``SOURCE_DATE_EPOCH`` pins the timestamp for reproducible files.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ FORMATS = ("csv", "json")
 
 @dataclass
 class Column:
-    """A result column: ``values`` is a list or a 1-D array, converted one
-    block at a time; a float array formats each distinct value once."""
+    """A result column: ``values`` is a list, a 1-D array or a row source (``len``, int and slice
+    indexing and iteration; slices are 1-D float64), converted a block at a time."""
 
     name: str
     unit: str
@@ -156,37 +156,58 @@ def _encode(block, enc) -> list[str]:
     return list(map(memo.__getitem__, block))
 
 
-#: A float array column is tabled when at most this share of its rows is distinct:
-#: a table of all-distinct values would hold one string per row.
-_TABLE_SHARE = 0.5
+#: A float64 column's table takes no more blocks once it holds this many bit patterns.
+_TABLE_SIZE = 2048
 #: Float-only encoders, each equal to its format's value encoder on a finite float.
 _CSV_FLOAT, _JSON_FLOAT = "%.17g".__mod__, float.__repr__
 
 
+def _float_texts(block, table, last, enc, fast) -> tuple[list[str], tuple | None, tuple | None]:
+    """Encode a 1-D float64 block through its column's ``table`` and ``last`` (the block before): each
+    None or sorted bit patterns (``0.0`` and ``-0.0`` differ, a nan matches itself) and their texts.
+    Only patterns neither holds are formatted: by ``fast`` if the block is finite, else by ``enc``.  A
+    block at most half new joins the table, with the one before, while the table has < :data:`_TABLE_SIZE`."""
+    import numpy as np  # an array block: the run layer has loaded numpy already
+
+    bits = block.view(np.uint64)
+    if table is not None and last is None:  # the block before came from the table alone
+        at = table[0].searchsorted(bits)
+        if (table[0].take(at, mode="clip") == bits).all():
+            return table[1][at].tolist(), table, None
+    s = np.sort(bits)
+    keys = s[np.concatenate(([True], s[1:] != s[:-1]))]
+    texts, new = np.empty(len(keys), dtype=object), np.ones(len(keys), dtype=bool)
+    for known in (table, last):
+        if known is not None:
+            at = known[0].searchsorted(keys)
+            hit = known[0].take(at, mode="clip") == keys
+            texts[hit], new[hit] = known[1][at[hit]], False
+    texts[new] = list(map(fast if np.isfinite(block).all() else enc, keys[new].view(np.float64).tolist()))
+    out = texts[keys.searchsorted(bits)].tolist()
+    if 2 * new.sum() > len(bits) or table is not None and len(table[0]) >= _TABLE_SIZE:
+        return out, table, (keys, texts)
+    parts = [p for p in (table, last, (keys, texts)) if p is not None]
+    s = np.sort(np.concatenate([p[0] for p in parts]))
+    keys = s[np.concatenate(([True], s[1:] != s[:-1]))]
+    texts = np.empty(len(keys), dtype=object)
+    for p in parts:
+        texts[keys.searchsorted(p[0])] = p[1]
+    return out, (keys, texts), None
+
+
 def _column_blocks(values, enc, fast):
-    """One column's encoded values per block of :data:`_BLOCK_ROWS` rows.
-
-    A list goes through :func:`_encode`, as does an array other than 1-D
-    native float64 (via ``tolist``).  A float64 column formats each distinct
-    bit pattern once (``0.0`` and ``-0.0`` differ, a nan matches itself)
-    into a table that its blocks index, or, when most rows are distinct,
-    maps ``fast`` over each block if every value is finite, else ``enc``."""
-    blocks = (values[i:i + _BLOCK_ROWS] for i in range(0, len(values), _BLOCK_ROWS))
-    if not hasattr(values, "tolist"):
-        return (_encode(b, enc) for b in blocks)
-    import numpy as np  # an array column: the run layer has loaded numpy already
-
-    if values.ndim != 1 or values.dtype != np.float64:
-        return (_encode(b.tolist(), enc) for b in blocks)
-    uniq = np.sort(values.view(np.uint64))  # not np.unique: about 20x slower here on numpy 2.4
-    keep = np.ones(len(uniq), dtype=bool)
-    keep[1:] = uniq[1:] != uniq[:-1]
-    uniq = uniq[keep]
-    if len(uniq) > _TABLE_SHARE * len(values):
-        enc = fast if np.isfinite(values).all() else enc
-        return (list(map(enc, b.tolist())) for b in blocks)
-    table = np.array(list(map(enc, uniq.view(np.float64).tolist())), dtype=object)
-    return (table[np.searchsorted(uniq, b.view(np.uint64))].tolist() for b in blocks)
+    """One column's texts per block of :data:`_BLOCK_ROWS` rows: a list block through :func:`_encode`, as is
+    an array block other than 1-D float64, and a float64 one, of an array or a row source, through :func:`_float_texts`."""
+    table = last = None
+    for i in range(0, len(values), _BLOCK_ROWS):
+        block = values[i : i + _BLOCK_ROWS]
+        if not hasattr(block, "dtype"):
+            yield _encode(block, enc)
+        elif block.ndim != 1 or block.dtype != "float64":
+            yield _encode(block.tolist(), enc)
+        else:
+            texts, table, last = _float_texts(block, table, last, enc, fast)
+            yield texts
 
 
 def _csv_chunks(envelope: ResultEnvelope):

@@ -5,8 +5,9 @@ Grids are specified in the dimensionless phase-diagram coordinates
 axis).  Every cell quantity is an elementwise closed form, so a heat map is
 one numpy pass over the whole grid through the same helpers as the scalar
 functions of :mod:`floquet_ep.floquet`; each cell equals the scalar result
-at :meth:`GridSpec.params_at` bit for bit.  A contour trace is one array inversion
-per branch; each gain equals :func:`~floquet_ep.floquet.ep_contour_gamma` there bit for bit.
+at :meth:`GridSpec.params_at` bit for bit.  The CLI evaluates the same :func:`_cells` on flat
+rows, a block at a time while it writes them.  A contour trace is one array inversion per
+branch; each gain equals :func:`~floquet_ep.floquet.ep_contour_gamma` there bit for bit.
 """
 
 from __future__ import annotations
@@ -97,24 +98,23 @@ class HeatMap:
         return self.grid.omega_axis.values()
 
 
-def compute_heatmap(grid: GridSpec, quantity: Quantity) -> HeatMap:
-    """Evaluate one quantity over the grid in a single array pass.
-
-    The gain axis is broadcast as a column against the frequency axis as a
-    row; :func:`~floquet_ep.floquet._areas` gives the drive and gain areas
-    with the float operations of :meth:`FloquetParams.from_dimensionless`.
-    """
+def _cells(grid: GridSpec, quantity: Quantity, gamma_ratio, omega_ratio):
+    """``quantity`` at each (gain ratio, frequency ratio) pair, elementwise over broadcast arrays;
+    :func:`~floquet_ep.floquet._areas` gives the drive and gain areas with the float operations
+    of :meth:`FloquetParams.from_dimensionless` and raises unless they are finite."""
     p, pj = grid.p, grid.p * grid.j_av
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        omega = grid.omega_axis.values()[np.newaxis, :] * pj
-        gamma_av = grid.gamma_axis.values()[:, np.newaxis] * pj / (1 - p)
+        omega, gamma_av = omega_ratio * pj, gamma_ratio * pj / (1 - p)
     _, drive_area, gain_area = _areas(p, omega, grid.j_av, gamma_av)
     if quantity is Quantity.INNER_PRODUCT:
-        values = _eigenvector_overlap(drive_area, gain_area)
-    else:
-        values = _discriminant(drive_area, gain_area)
-        if quantity is Quantity.PHASE:
-            values = _phase_code(values)
+        return _eigenvector_overlap(drive_area, gain_area)
+    values = _discriminant(drive_area, gain_area)
+    return _phase_code(values) if quantity is Quantity.PHASE else values
+
+
+def compute_heatmap(grid: GridSpec, quantity: Quantity) -> HeatMap:
+    """One quantity over the grid in one array pass: gain axis as a column against frequency axis as a row."""
+    values = _cells(grid, quantity, grid.gamma_axis.values()[:, np.newaxis], grid.omega_axis.values()[np.newaxis, :])
     return HeatMap(grid=grid, quantity=quantity, values=values)
 
 

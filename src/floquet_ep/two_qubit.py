@@ -131,15 +131,17 @@ def _f0_cos(params: TwoQubitParams, ts: np.ndarray) -> tuple[np.ndarray, np.ndar
 def _propagators(params: TwoQubitParams, ts: np.ndarray) -> np.ndarray:
     """Closed-form propagators at every time in ``ts``, shape (n, 4, 4); in
     the broken phase divided by e^{kappa t}, as :func:`_f0_cos` is.  Raises
-    ``ValueError`` where the pair rates, ``j * t`` or ``Re(delta) * t`` overflow doubles."""
+    ``ValueError`` naming the pair rate, or product with t or f0, that overflows doubles."""
     if np.any(ts < 0):
         raise ValueError("t must be non-negative")
-    for name, value in (("kx^2 - gamma^2", params.delta), ("j * t", params.j * ts), ("Re(delta) * t", params.delta.real * ts)):
-        if not np.all(np.isfinite(value)):  # Re(delta) only: the broken phase's growth is scaled out
-            raise ValueError(f"{name} overflows doubles at {params} and t up to {ts.max():g}")
     f0, cz = _f0_cos(params, ts)
-    pp, pm = cz + params.gamma * f0, cz - params.gamma * f0
-    c, s, kf = np.cos(params.j * ts), np.sin(params.j * ts), params.kx * f0
+    gf, kf = params.gamma * f0, params.kx * f0
+    for name, value in (("kx^2 - gamma^2", params.delta), ("j * t", params.j * ts), ("Re(delta) * t", params.delta.real * ts),
+                        ("gamma * f0", gf), ("kx * f0", kf)):  # Re(delta) only: the broken phase's growth is scaled out
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} overflows doubles at {params} and t up to {ts.max():g}")
+    pp, pm = cz + gf, cz - gf
+    c, s = np.cos(params.j * ts), np.sin(params.j * ts)
     a, b, e, f, g, h = c * pp, -1j * s * pp, -kf * s, -1j * kf * c, c * pm, -1j * s * pm
     return np.stack([a, b, e, f, b, a, f, e, e, f, g, h, f, e, h, g], axis=-1).reshape(-1, 4, 4)
 
@@ -192,8 +194,10 @@ def _factor(rho: np.ndarray) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")
 def _evolve(phi: np.ndarray, params: TwoQubitParams, ts: np.ndarray) -> np.ndarray:
-    """``psi = G Phi / sqrt(tr)``, ``tr = |G Phi|^2``, at every time in ``ts``; shape (n, 4, r)."""
-    psi = _propagators(params, ts) @ phi
+    """``psi = G Phi / sqrt(tr)``, ``tr = |G Phi|^2``, at every time in ``ts``; shape (n, 4, r).  Each G
+    is first scaled by the power of two that brings its largest part below 1: exact, so psi does not move."""
+    g = _propagators(params, ts)
+    psi = (g * np.ldexp(1.0, -np.frexp(np.maximum(abs(g.real), abs(g.imag)).max(axis=(1, 2)))[1])[:, None, None]) @ phi
     tr = (psi.real**2 + psi.imag**2).sum(axis=(1, 2))
     bad = ~((tr > 0) & np.isfinite(tr))
     if bad.any():
