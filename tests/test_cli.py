@@ -631,6 +631,8 @@ def _extreme_argv(draw):
 @example(argv=["ep-contour", "--samples", "3", "--j-av", "1e+154"])  # an interval index beyond int64
 @example(argv=["phase-diagram", "--grid", "3x3", "--gamma-min", "5e-324", "--j-av", "2"])
 @example(argv=["phase-diagram", "--grid", "3x3", "--j-av", "1e300", "--omega-min", "2", "--omega-max", "1e300"])
+@example(argv=["phase-diagram", "--grid", "3x3", "--omega-min", "1e-310", "--omega-max", "1"])  # fails at the extremes,
+@example(argv=["phase-diagram", "--grid", "3x3", "--gamma-scale", "linear", "--gamma-min", "-1.7e308"])  # before the file
 def test_extreme_values_end_in_a_finite_result_or_one_error_line(argv, tmp_path, capsys):
     """Run ``main`` with warnings as errors: a failure is one ``error:`` line
     and no file, a success writes finite numbers, apart from a saturated
@@ -659,6 +661,25 @@ def _fresh_python(*argv, **env):
     """Run ``python ARGV`` in an environment without BLAS thread variables, plus ``env``."""
     base = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARS}
     return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env={**base, **env})
+
+
+#: ``python -m floquet_ep ARGV`` from a small parent, so that the child's ``ru_maxrss`` (which counts
+#: the pages it shares with its parent until it execs) is its own; prints it in KiB.
+_PEAK_RSS = """
+import os, subprocess, sys
+proc = subprocess.Popen([sys.executable, "-m", "floquet_ep", *sys.argv[1:]], stdout=subprocess.DEVNULL)
+print(os.wait4(proc.pid, 0)[2].ru_maxrss)
+"""
+
+
+def test_phase_map_process_peaks_near_a_one_row_run(tmp_path):
+    """``preset fig1b`` (160,000 rows, 9.4 MB) peaks within 1.5 MB of a one-row ``floquet-ham`` run
+    in a fresh process: the map streams from kernel to file; the whole grid took about 7 MB more."""
+
+    def peak_mb(*argv):
+        return int(_fresh_python("-c", _PEAK_RSS, *argv, "--output", str(tmp_path / "out.csv")).stdout) / 1024
+
+    assert min(peak_mb("preset", "fig1b") for _ in range(2)) - min(peak_mb("floquet-ham") for _ in range(2)) < 1.5
 
 
 _KERNEL_MODULES = ("numpy", *(f"floquet_ep.{m}" for m in ("linalg", "floquet", "bloch", "sweep", "two_qubit")))

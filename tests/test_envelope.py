@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from floquet_ep.cli import parse_config, run
+from floquet_ep.sweep import AxisSpec, GridSpec, Quantity, compute_heatmap
 from floquet_ep.envelope import (
     _BLOCK_ROWS,
     _CSV_FLOAT,
@@ -208,6 +209,10 @@ def _half_distinct(n_rows, extra):
 
 
 _EDGE_ARRAYS = {
+    # a period longer than a block, then a table grown full and a repeating tail read through the block before
+    "tile_1500": np.tile(np.arange(1500) / 7, 4),
+    "full_table_then_period": np.concatenate([np.repeat(np.arange(2600) / 3, 2), np.arange(3000) / 13,
+                                              np.tile(np.arange(100) / 11, 30)]),
     "big_endian_repeats": np.array([1.5, 1.5, 2.0, 2.0] * 300, dtype=">f8"),
     "big_endian_distinct": np.arange(1025, dtype=">f8") / 7,
     "float32_repeats": np.tile(np.array([0.1, -0.0, 2.5], dtype=np.float32), 400),
@@ -285,6 +290,60 @@ def test_trajectory_write_peak_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 6e6
+
+
+def test_large_phase_map_write_peak_memory(tmp_path):
+    """A 1000x1000 map is computed block by block while it is written: the traced
+    peak stays below 3 MB, where the whole-grid pass held about 46 B per cell."""
+    cfg = parse_config(["phase-diagram", "--grid", "1000x1000", "--output", str(tmp_path / "map.csv")])
+    tracemalloc.start()
+    try:
+        write_result(run(cfg))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6
+
+
+@settings(max_examples=20, deadline=None)
+@given(n_gamma=st.integers(2, 4), n_omega=st.sampled_from([2, 3, 37, 400, _BLOCK_ROWS - 1, _BLOCK_ROWS + 476]),
+       gamma_scale=st.sampled_from(["log", "linear"]), omega_scale=st.sampled_from(["log", "linear"]),
+       quantity=st.sampled_from([q.value for q in Quantity]), fmt=st.sampled_from(["csv", "json"]))
+@example(n_gamma=2, n_omega=2, gamma_scale="linear", omega_scale="log", quantity="phase", fmt="csv")
+@example(n_gamma=3, n_omega=_BLOCK_ROWS + 476, gamma_scale="log", omega_scale="linear", quantity="inner-product", fmt="json")
+def test_streamed_phase_map_equals_the_materialized_grid(n_gamma, n_omega, gamma_scale, omega_scale, quantity, fmt):
+    """The row-source columns write the bytes that the whole grid gives: ``compute_heatmap``'s
+    values with ``np.repeat``/``np.tile`` axis columns, rendered row by row."""
+    cfg = parse_config(["phase-diagram", "--grid", f"{n_gamma}x{n_omega}", "--gamma-scale", gamma_scale,
+                        "--omega-scale", omega_scale, "--quantity", quantity, "--format", fmt])
+    env = run(cfg)
+    p = cfg.parameters
+    grid = GridSpec(AxisSpec(p["gamma_min"], p["gamma_max"], n_gamma, gamma_scale),
+                    AxisSpec(p["omega_min"], p["omega_max"], n_omega, omega_scale), p["p"], p["j_av"])
+    hm = compute_heatmap(grid, Quantity(quantity))
+    whole = ResultEnvelope(cfg, [Column("gamma_ratio", "dimensionless", np.repeat(hm.gamma_values(), n_omega)),
+                                 Column("omega_ratio", "dimensionless", np.tile(hm.omega_values(), n_gamma)),
+                                 Column(quantity.replace("-", "_"), "dimensionless", hm.values.ravel())], env.provenance)
+    render, oracle = (render_csv, oracle_csv) if fmt == "csv" else (render_json, oracle_json)
+    assert render(env) == oracle(whole)
+    assert [list(c.values) for c in env.columns] == [list(c.values) for c in whole.columns]
+    assert env.columns[2].values[n_gamma * n_omega - 1] == hm.values[-1, -1]
+
+
+def test_wide_phase_map_formats_each_frequency_once(tmp_path, monkeypatch):
+    """In a 4x1500 phase map every gain row spans two blocks, yet each of the 4 gains,
+    1500 frequencies and at most 3 phase codes is formatted once."""
+    calls = []
+
+    def counting(enc):
+        return lambda value: calls.append(value) or enc(value)
+
+    monkeypatch.setattr("floquet_ep.envelope._csv_value", counting(_csv_value))
+    monkeypatch.setattr("floquet_ep.envelope._CSV_FLOAT", counting(_CSV_FLOAT))
+    cfg = parse_config(["phase-diagram", "--grid", "4x1500", "--quantity", "phase",
+                        "--output", str(tmp_path / "phase.csv")])
+    write_result(run(cfg))
+    assert len(calls) <= 4 + 1500 + 3
 
 
 def test_phase_map_formats_each_distinct_value_once(tmp_path, monkeypatch):

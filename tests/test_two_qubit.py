@@ -188,6 +188,7 @@ class TestPropagator:
             (TwoQubitParams(1.0, 0.0, 1e200), 1.0, "kx\\^2 - gamma\\^2"),
             (TwoQubitParams(1.0, 1e200, 0.0), 1.0, "kx\\^2 - gamma\\^2"),
             (TwoQubitParams(1.0, 0.0, 1.5), 1.7e308, "Re\\(delta\\) \\* t"),
+            (TwoQubitParams(0.5, 1e150, 1e150), 1e200, "gamma \\* f0"),  # f0 = t at the exceptional point
         ],
     )
     def test_overflowing_phase_raises_naming_its_cause(self, params, t, cause):
@@ -404,10 +405,24 @@ class TestTimeseries:
         records = entanglement_timeseries(ground_density(), TwoQubitParams(0.5, 2.0, 1.0), [0.0, 1.5e308])
         assert records[-1].concurrence == pytest.approx(0.5, abs=1e-12)
 
+    def test_exceptional_point_at_the_largest_time_saturates(self, tmp_path):
+        """At the EP f0 = t, so G's entries reach t ~ 1.7e308 and G Phi overflows unless G is scaled
+        first; the scaled rows equal the long-time limit C = S_u = S_t = 1 of a 1e150 run."""
+        rows = {}
+        for t_max in ("1.7e308", "1e150"):
+            out = tmp_path / f"pair_{t_max}.csv"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["two-qubit", "--steps", "3", "--gamma", "1", "--kx", "1", "--t-max", t_max,
+                             "--output", str(out)]) == 0
+            rows[t_max] = np.array(parse_csv(out.read_text())[1][1:]).T[1:]  # C, S_u, S_t at t > 0
+        assert np.abs(rows["1.7e308"] - 1.0).max() <= 1e-12
+        assert np.abs(rows["1.7e308"] - rows["1e150"]).max() <= 1e-12
+
     @pytest.mark.parametrize(
         "rates",
         [["--j=1.7e+308"], ["--kx", "1e200", "--gamma", "0", "--t-max", "1e200"],
-         ["--gamma", "1e200", "--kx", "0", "--t-max", "1e200"]],
+         ["--gamma", "1e200", "--kx", "0", "--t-max", "1e200"], ["--gamma", "1e150", "--kx", "1e150", "--t-max", "1e200"]],
     )
     def test_overflowing_rates_or_times_exit_1_with_one_error_line(self, rates, tmp_path, capsys):
         out = tmp_path / "pair.csv"
