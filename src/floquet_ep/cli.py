@@ -27,26 +27,28 @@ __all__ = ["UsageError", "parse_config", "run", "main"]
 
 
 class _Rows:
-    """A float64 column of ``n`` rows, computed a slice at a time by ``rows(flat row indices)``: never held whole."""
+    """A float64 column of ``n`` rows, computed two blocks at a time by ``rows(flat row indices)``: never held whole."""
 
     def __init__(self, n: int, rows):
-        self.n, self.rows = n, rows
+        self.n, self.rows, self.lo, self.chunk = n, rows, 0, np.empty(0)
 
     def __len__(self):
         return self.n
 
     def __getitem__(self, k):
-        if isinstance(k, slice):
-            return self.rows(np.arange(*k.indices(self.n)))
-        return self.rows(np.array([range(self.n)[k]]))[0]
-
-    def __iter__(self):
-        return (x for i in range(0, self.n, _BLOCK_ROWS) for x in self[i : i + _BLOCK_ROWS])
+        if not isinstance(k, slice):
+            i = range(self.n)[k]
+            return self[i : i + 1][0]
+        start, stop, step = k.indices(self.n)
+        if step != 1 or stop <= start:
+            return self.rows(np.arange(start, stop, step))
+        if not self.lo <= start <= stop <= self.lo + len(self.chunk):
+            self.lo, self.chunk = start, self.rows(np.arange(start, min(max(stop, start + 2 * _BLOCK_ROWS), self.n)))
+        return self.chunk[start - self.lo : stop - self.lo]
 
 
 def _run_phase_diagram(cfg: RunConfig) -> list[Column]:
-    """Row ``i * n_omega + j`` holds gain i and frequency j, computed while it is written.  The areas are
-    monotone in both ratios, so a grid fails at its axis extremes, here, before the file opens."""
+    """Row ``i * n_omega + j``: gain i, frequency j.  The areas are monotone in both, so a grid fails at its extremes."""
     p = cfg.parameters
     grid = GridSpec(AxisSpec(p["gamma_min"], p["gamma_max"], p["grid"][0], p["gamma_scale"]),
                     AxisSpec(p["omega_min"], p["omega_max"], p["grid"][1], p["omega_scale"]), p["p"], p["j_av"])

@@ -163,36 +163,37 @@ _CSV_FLOAT, _JSON_FLOAT = "%.17g".__mod__, float.__repr__
 
 
 def _float_texts(block, table, last, enc, fast) -> tuple[list[str], tuple | None, tuple | None]:
-    """Encode a 1-D float64 block through its column's ``table`` and ``last`` (the block before): each
-    None or sorted bit patterns (``0.0`` and ``-0.0`` differ, a nan matches itself) and their texts.
-    Only patterns neither holds are formatted: by ``fast`` if the block is finite, else by ``enc``.  A
-    block at most half new joins the table, with the one before, while the table has < :data:`_TABLE_SIZE`."""
+    """Encode a 1-D float64 block through its column's ``table`` and ``last`` (the block before's patterns
+    the table lacked): None or sorted bit patterns (``0.0`` and ``-0.0`` differ, a nan matches itself) and
+    texts.  Formats only patterns neither holds (by ``fast`` if all finite, else ``enc``).  A block at most
+    half new joins the table, with the block before, while the table holds under :data:`_TABLE_SIZE`."""
     import numpy as np  # an array block: the run layer has loaded numpy already
 
-    bits = block.view(np.uint64)
-    if table is not None and last is None:  # the block before came from the table alone
+    bits, rows, out = block.view(np.uint64), slice(None), np.empty(len(block), dtype=object)  # rows the table lacks
+    if table is not None:
         at = table[0].searchsorted(bits)
-        if (table[0].take(at, mode="clip") == bits).all():
-            return table[1][at].tolist(), table, None
-    s = np.sort(bits)
+        hit = table[0].take(at, mode="clip") == bits
+        out = table[1].take(at, mode="clip")
+        if hit.all():
+            return out.tolist(), table, None
+        rows = np.flatnonzero(~hit)
+    s = np.sort(bits[rows])
     keys = s[np.concatenate(([True], s[1:] != s[:-1]))]
     texts, new = np.empty(len(keys), dtype=object), np.ones(len(keys), dtype=bool)
-    for known in (table, last):
-        if known is not None:
-            at = known[0].searchsorted(keys)
-            hit = known[0].take(at, mode="clip") == keys
-            texts[hit], new[hit] = known[1][at[hit]], False
+    if last is not None:
+        at = last[0].searchsorted(keys)
+        hit = last[0].take(at, mode="clip") == keys
+        texts[hit], new[hit] = last[1][at[hit]], False
     texts[new] = list(map(fast if np.isfinite(block).all() else enc, keys[new].view(np.float64).tolist()))
-    out = texts[keys.searchsorted(bits)].tolist()
+    out[rows] = texts[keys.searchsorted(bits[rows])]
     if 2 * new.sum() > len(bits) or table is not None and len(table[0]) >= _TABLE_SIZE:
-        return out, table, (keys, texts)
-    parts = [p for p in (table, last, (keys, texts)) if p is not None]
-    s = np.sort(np.concatenate([p[0] for p in parts]))
-    keys = s[np.concatenate(([True], s[1:] != s[:-1]))]
+        return out.tolist(), table, (keys, texts)
+    parts = [p for p in (table, last, (keys[new], texts[new])) if p is not None]  # disjoint
+    keys = np.sort(np.concatenate([p[0] for p in parts]))
     texts = np.empty(len(keys), dtype=object)
     for p in parts:
         texts[keys.searchsorted(p[0])] = p[1]
-    return out, (keys, texts), None
+    return out.tolist(), (keys, texts), None
 
 
 def _column_blocks(values, enc, fast):
@@ -201,13 +202,11 @@ def _column_blocks(values, enc, fast):
     table = last = None
     for i in range(0, len(values), _BLOCK_ROWS):
         block = values[i : i + _BLOCK_ROWS]
-        if not hasattr(block, "dtype"):
-            yield _encode(block, enc)
-        elif block.ndim != 1 or block.dtype != "float64":
-            yield _encode(block.tolist(), enc)
-        else:
+        if hasattr(block, "dtype") and block.ndim == 1 and block.dtype == "float64":
             texts, table, last = _float_texts(block, table, last, enc, fast)
             yield texts
+        else:
+            yield _encode(block.tolist() if hasattr(block, "dtype") else block, enc)
 
 
 def _csv_chunks(envelope: ResultEnvelope):

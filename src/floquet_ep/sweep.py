@@ -99,9 +99,8 @@ class HeatMap:
 
 
 def _cells(grid: GridSpec, quantity: Quantity, gamma_ratio, omega_ratio):
-    """``quantity`` at each (gain ratio, frequency ratio) pair, elementwise over broadcast arrays;
-    :func:`~floquet_ep.floquet._areas` gives the drive and gain areas with the float operations
-    of :meth:`FloquetParams.from_dimensionless` and raises unless they are finite."""
+    """``quantity`` at each (gain ratio, frequency ratio) of broadcast arrays; :func:`~floquet_ep.floquet._areas`
+    gives the areas as :meth:`FloquetParams.from_dimensionless` does and raises unless they are finite."""
     p, pj = grid.p, grid.p * grid.j_av
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         omega, gamma_av = omega_ratio * pj, gamma_ratio * pj / (1 - p)

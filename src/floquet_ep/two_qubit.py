@@ -194,8 +194,7 @@ def _factor(rho: np.ndarray) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")
 def _evolve(phi: np.ndarray, params: TwoQubitParams, ts: np.ndarray) -> np.ndarray:
-    """``psi = G Phi / sqrt(tr)``, ``tr = |G Phi|^2``, at every time in ``ts``; shape (n, 4, r).  Each G
-    is first scaled by the power of two that brings its largest part below 1: exact, so psi does not move."""
+    """``psi = G Phi / sqrt(tr)``, ``tr = |G Phi|^2``, at every time in ``ts``, shape (n, 4, r); G scaled by 2^k first."""
     g = _propagators(params, ts)
     psi = (g * np.ldexp(1.0, -np.frexp(np.maximum(abs(g.real), abs(g.imag)).max(axis=(1, 2)))[1])[:, None, None]) @ phi
     tr = (psi.real**2 + psi.imag**2).sum(axis=(1, 2))
