@@ -140,8 +140,7 @@ def _propagators(params: TwoQubitParams, ts: np.ndarray) -> np.ndarray:
                         ("gamma * f0", gf), ("kx * f0", kf)):  # Re(delta) only: the broken phase's growth is scaled out
         if not np.all(np.isfinite(value)):
             raise ValueError(f"{name} overflows doubles at {params} and t up to {ts.max():g}")
-    pp, pm = cz + gf, cz - gf
-    c, s = np.cos(params.j * ts), np.sin(params.j * ts)
+    pp, pm, c, s = cz + gf, cz - gf, np.cos(params.j * ts), np.sin(params.j * ts)
     a, b, e, f, g, h = c * pp, -1j * s * pp, -kf * s, -1j * kf * c, c * pm, -1j * s * pm
     return np.stack([a, b, e, f, b, a, f, e, e, f, g, h, f, e, h, g], axis=-1).reshape(-1, 4, 4)
 
@@ -196,7 +195,9 @@ def _factor(rho: np.ndarray) -> np.ndarray:
 def _evolve(phi: np.ndarray, params: TwoQubitParams, ts: np.ndarray) -> np.ndarray:
     """``psi = G Phi / sqrt(tr)``, ``tr = |G Phi|^2``, at every time in ``ts``, shape (n, 4, r); G scaled by 2^k first."""
     g = _propagators(params, ts)
-    psi = (g * np.ldexp(1.0, -np.frexp(np.maximum(abs(g.real), abs(g.imag)).max(axis=(1, 2)))[1])[:, None, None]) @ phi
+    v = g.view(np.float64)  # real and imaginary parts side by side
+    g *= np.ldexp(1.0, -np.frexp(np.maximum(v.max(axis=(1, 2)), -v.min(axis=(1, 2))))[1])[:, None, None]
+    psi = g @ phi
     tr = (psi.real**2 + psi.imag**2).sum(axis=(1, 2))
     bad = ~((tr > 0) & np.isfinite(tr))
     if bad.any():
