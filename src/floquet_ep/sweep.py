@@ -52,9 +52,8 @@ class AxisSpec:
             raise ValueError("log axis needs lo > 0")
 
     def values(self) -> np.ndarray:
-        if self.scale == "log":
-            return np.geomspace(self.lo, self.hi, self.count)
-        return np.linspace(self.lo, self.hi, self.count)
+        with np.errstate(over="ignore", invalid="ignore"):  # an axis wider than the doubles holds inf/nan: _areas rejects it
+            return (np.geomspace if self.scale == "log" else np.linspace)(self.lo, self.hi, self.count)
 
 
 @dataclass(frozen=True)

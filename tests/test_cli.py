@@ -632,7 +632,8 @@ def _extreme_argv(draw):
 @example(argv=["phase-diagram", "--grid", "3x3", "--gamma-min", "5e-324", "--j-av", "2"])
 @example(argv=["phase-diagram", "--grid", "3x3", "--j-av", "1e300", "--omega-min", "2", "--omega-max", "1e300"])
 @example(argv=["phase-diagram", "--grid", "3x3", "--omega-min", "1e-310", "--omega-max", "1"])  # fails at the extremes,
-@example(argv=["phase-diagram", "--grid", "3x3", "--gamma-scale", "linear", "--gamma-min", "-1.7e308"])  # before the file
+@example(argv=["phase-diagram", "--grid", "3x3", "--gamma-scale", "linear", "--gamma-min=-1.7e308"])  # before the file
+@example(argv=["phase-diagram", "--grid", "3x3", "--gamma-scale", "linear", "--gamma-min=-1.7e308", "--gamma-max=1.7e308"])
 def test_extreme_values_end_in_a_finite_result_or_one_error_line(argv, tmp_path, capsys):
     """Run ``main`` with warnings as errors: a failure is one ``error:`` line
     and no file, a success writes finite numbers, apart from a saturated
