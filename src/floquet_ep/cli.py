@@ -48,7 +48,8 @@ class _Rows:
 
 
 def _run_phase_diagram(cfg: RunConfig) -> list[Column]:
-    """Row ``i * n_omega + j``: gain i, frequency j.  The areas are monotone in both, so a grid fails at its extremes."""
+    """Row ``i * n_omega + j``: gain i, frequency j.  The areas are monotone in both: checking the axis extremes
+    here fails a bad grid before its file opens, and the rows are computed while they are written."""
     p = cfg.parameters
     grid = GridSpec(AxisSpec(p["gamma_min"], p["gamma_max"], p["grid"][0], p["gamma_scale"]),
                     AxisSpec(p["omega_min"], p["omega_max"], p["grid"][1], p["omega_scale"]), p["p"], p["j_av"])

@@ -193,7 +193,7 @@ def _factor(rho: np.ndarray) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")
 def _evolve(phi: np.ndarray, params: TwoQubitParams, ts: np.ndarray) -> np.ndarray:
-    """``psi = G Phi / sqrt(tr)``, ``tr = |G Phi|^2``, at every time in ``ts``, shape (n, 4, r); G scaled by 2^k first."""
+    """``psi = G Phi / sqrt(tr)``, ``tr = |G Phi|^2``, shape (n, 4, r), at each time in ``ts``; G exactly scaled by 2^k first."""
     g = _propagators(params, ts)
     v = g.view(np.float64)  # real and imaginary parts side by side
     g *= np.ldexp(1.0, -np.frexp(np.maximum(v.max(axis=(1, 2)), -v.min(axis=(1, 2))))[1])[:, None, None]
