@@ -15,6 +15,7 @@ import argparse
 import configparser
 import json
 import math
+import re
 import sys
 
 from .envelope import FORMATS, RunConfig, write_result
@@ -116,6 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for command, (summary, keys) in _COMMANDS.items():
         p_ = sub.add_parser(command, help=summary)
+        p_._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")  # -1e-3 is a value too
         for key, (default, text) in keys.items():
             if default is not None:
                 text += " (default %s)" % (",".join(map(str, default)) if isinstance(default, list) else default)

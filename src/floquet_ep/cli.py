@@ -18,7 +18,7 @@ import numpy as np
 
 from .args import UsageError, main, parse_config
 from .bloch import equal_superposition_xyz, evolve_state
-from .envelope import _BLOCK_ROWS, Column, RunConfig, make_envelope
+from .envelope import Column, RunConfig, make_envelope
 from .floquet import FloquetParams, _areas, _generator
 from .sweep import AxisSpec, GridSpec, Quantity, _cells, trace_contours
 from .two_qubit import TwoQubitParams, _timeseries, density_from_label
@@ -27,24 +27,21 @@ __all__ = ["UsageError", "parse_config", "run", "main"]
 
 
 class _Rows:
-    """A float64 column of ``n`` rows, computed two blocks at a time by ``rows(flat row indices)``: never held whole."""
+    """A float64 column of ``n`` rows, computed by ``rows(flat row indices)`` as asked (1024 at a time when iterated)."""
 
     def __init__(self, n: int, rows):
-        self.n, self.rows, self.lo, self.chunk = n, rows, 0, np.empty(0)
+        self.n, self.rows = n, rows
 
     def __len__(self):
         return self.n
 
     def __getitem__(self, k):
-        if not isinstance(k, slice):
-            i = range(self.n)[k]
-            return self[i : i + 1][0]
-        start, stop, step = k.indices(self.n)
-        if step != 1 or stop <= start:
-            return self.rows(np.arange(start, stop, step))
-        if not self.lo <= start <= stop <= self.lo + len(self.chunk):
-            self.lo, self.chunk = start, self.rows(np.arange(start, min(max(stop, start + 2 * _BLOCK_ROWS), self.n)))
-        return self.chunk[start - self.lo : stop - self.lo]
+        i = range(self.n)[k]
+        return self.rows(np.arange(i.start, i.stop, i.step)) if isinstance(k, slice) else self.rows(np.array([i]))[0]
+
+    def __iter__(self):
+        for i in range(0, self.n, 1024):
+            yield from self[i : i + 1024].tolist()
 
 
 def _run_phase_diagram(cfg: RunConfig) -> list[Column]:

@@ -6,9 +6,9 @@ locale-independent (``.`` decimal point, ``,`` separator, ``\\n`` newlines)
 with floats at 17 significant digits so parsing returns bit-identical
 doubles; the metadata travels in ``#``-prefixed comment lines above the
 header.  A column is a list, a 1-D array or a row source (slices computed on
-request), turned into text a block of rows at a time; a float64 column keeps
-a running table of formatted bit patterns, so a repeating column formats each
-value once.  ``SOURCE_DATE_EPOCH`` pins the timestamp for reproducible files.
+request), turned into text a block of rows at a time: a float64 block through
+its column's one table of formatted bit patterns (restarted when full), any
+other block value by value.  ``SOURCE_DATE_EPOCH`` pins the timestamp.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import os
 import subprocess
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Sequence
 
@@ -43,8 +44,8 @@ FORMATS = ("csv", "json")
 
 @dataclass
 class Column:
-    """A result column: ``values`` is a list, a 1-D array or a row source (``len``, int and slice
-    indexing and iteration; slices are 1-D float64), converted a block at a time."""
+    """A result column: ``values`` is a list, a 1-D array or a row source (``len``, int and slice indexing and
+    iteration; slices are 1-D float64), encoded a block at a time: float64 through a table, the rest value by value."""
 
     name: str
     unit: str
@@ -130,8 +131,6 @@ def make_envelope(config: RunConfig, columns: list[Column]) -> ResultEnvelope:
 #: Rows per block: enough to amortize the per-block calls, and few enough to keep a block small.
 _BLOCK_ROWS = 1024
 
-_MEMO_TYPES = ({float}, {int}, {bool}, {str}, {type(None)})
-
 
 def _csv_value(value) -> str:
     return format(value, ".17g") if isinstance(value, float) else str(value)
@@ -141,32 +140,22 @@ def _json_value(value) -> str:
     """One ``values`` item as ``json.dumps(doc, indent=2)`` writes it."""
     if isinstance(value, float) and math.isfinite(value):
         return float.__repr__(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
     return json.dumps(value, indent=2).replace("\n", "\n        ")
 
 
-def _encode(block, enc) -> list[str]:
-    """``enc`` over one column block, once per distinct value if the block
-    repeats values of one type of :data:`_MEMO_TYPES` and holds no zero:
-    ``1``, ``1.0`` and ``True`` are equal but print differently, as are ``0.0`` and ``-0.0``."""
-    memo = dict.fromkeys(block) if set(map(type, block)) in _MEMO_TYPES else {}
-    if len(memo) in (0, len(block)) or 0.0 in memo:
-        return list(map(enc, block))
-    for value in memo:
-        memo[value] = enc(value)
-    return list(map(memo.__getitem__, block))
-
-
-#: A float64 column's table takes no more blocks once it holds this many bit patterns.
+#: A float64 column's table restarts once it would hold this many bit patterns.
 _TABLE_SIZE = 2048
 #: Float-only encoders, each equal to its format's value encoder on a finite float.
 _CSV_FLOAT, _JSON_FLOAT = "%.17g".__mod__, float.__repr__
 
 
-def _float_texts(block, table, last, enc, fast) -> tuple[list[str], tuple | None, tuple | None]:
-    """Encode a 1-D float64 block through its column's ``table`` and ``last`` (the block before's patterns
-    the table lacked): None or sorted bit patterns (``0.0`` and ``-0.0`` differ, a nan matches itself) and
-    texts.  Formats only patterns neither holds (by ``fast`` if all finite, else ``enc``).  A block at most
-    half new joins the table, with the block before, while the table holds under :data:`_TABLE_SIZE`."""
+def _float_texts(block, table, enc, fast) -> tuple[list[str], tuple]:
+    """Encode a 1-D float64 block through its column's ``table``: None or sorted bit patterns (``0.0`` and
+    ``-0.0`` differ, a nan matches itself) and their texts.  The patterns the table lacks are formatted once
+    (by ``fast`` if all finite, else ``enc``) and join it; a table that would reach :data:`_TABLE_SIZE`
+    restarts from them."""
     import numpy as np  # an array block: the run layer has loaded numpy already
 
     bits, rows, out = block.view(np.uint64), slice(None), np.empty(len(block), dtype=object)  # rows the table lacks
@@ -175,38 +164,30 @@ def _float_texts(block, table, last, enc, fast) -> tuple[list[str], tuple | None
         hit = table[0].take(at, mode="clip") == bits
         out = table[1].take(at, mode="clip")
         if hit.all():
-            return out.tolist(), table, None
+            return out.tolist(), table
         rows = np.flatnonzero(~hit)
     s = np.sort(bits[rows])
     keys = s[np.concatenate(([True], s[1:] != s[:-1]))]
-    texts, new = np.empty(len(keys), dtype=object), np.ones(len(keys), dtype=bool)
-    if last is not None:
-        at = last[0].searchsorted(keys)
-        hit = last[0].take(at, mode="clip") == keys
-        texts[hit], new[hit] = last[1][at[hit]], False
-    texts[new] = list(map(fast if np.isfinite(block).all() else enc, keys[new].view(np.float64).tolist()))
+    values, texts = keys.view(np.float64), np.empty(len(keys), dtype=object)
+    texts[:] = list(map(fast if np.isfinite(values).all() else enc, values.tolist()))
     out[rows] = texts[keys.searchsorted(bits[rows])]
-    if 2 * new.sum() > len(bits) or table is not None and len(table[0]) >= _TABLE_SIZE:
-        return out.tolist(), table, (keys, texts)
-    parts = [p for p in (table, last, (keys[new], texts[new])) if p is not None]  # disjoint
-    keys = np.sort(np.concatenate([p[0] for p in parts]))
-    texts = np.empty(len(keys), dtype=object)
-    for p in parts:
-        texts[keys.searchsorted(p[0])] = p[1]
-    return out.tolist(), (keys, texts), None
+    if table is not None and len(table[0]) + len(keys) < _TABLE_SIZE:
+        order = np.concatenate((table[0], keys)).argsort(kind="stable")  # two sorted runs: one merge pass
+        keys, texts = np.concatenate((table[0], keys))[order], np.concatenate((table[1], texts))[order]
+    return out.tolist(), (keys, texts)
 
 
 def _column_blocks(values, enc, fast):
-    """One column's texts per block of :data:`_BLOCK_ROWS` rows: a list block through :func:`_encode`, as is
-    an array block other than 1-D float64, and a float64 one, of an array or a row source, through :func:`_float_texts`."""
-    table = last = None
+    """One column's texts per block of :data:`_BLOCK_ROWS` rows: a 1-D float64 block, of an array or a row
+    source, through :func:`_float_texts`; any other block value by value."""
+    table = None
     for i in range(0, len(values), _BLOCK_ROWS):
         block = values[i : i + _BLOCK_ROWS]
         if hasattr(block, "dtype") and block.ndim == 1 and block.dtype == "float64":
-            texts, table, last = _float_texts(block, table, last, enc, fast)
+            texts, table = _float_texts(block, table, enc, fast)
             yield texts
         else:
-            yield _encode(block.tolist() if hasattr(block, "dtype") else block, enc)
+            yield list(map(enc, block.tolist() if hasattr(block, "dtype") else block))
 
 
 def _csv_chunks(envelope: ResultEnvelope):

@@ -153,8 +153,8 @@ def _areas(p, omega, j_av, gamma_av):
         T = 2 * math.pi / omega
         areas = T, j_av * (p * T), gamma_av * ((1 - p) * T)
     if not (np.all(omega > 0) and all(np.all(np.isfinite(x)) for x in (omega, *areas))):
-        lo, hi = np.min(omega), np.max(omega)
-        raise ValueError(f"omega must be positive, and the drive area and gain area finite; omega in [{lo:g}, {hi:g}]")
+        raise ValueError("omega must be positive, and the drive area and gain area finite; omega in "
+                         f"[{np.min(omega):g}, {np.max(omega):g}], gamma_av in [{np.min(gamma_av):g}, {np.max(gamma_av):g}]")
     return areas
 
 

@@ -561,6 +561,25 @@ class TestNumericEdges:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_overflowing_gain_axis_is_named(self, tmp_path, capsys):
+        # the gain ratio is finite, its gain area is not: the line names the gain range, not only omega's
+        out = tmp_path / "map.csv"
+        argv = ["phase-diagram", "--grid", "3x3", "--gamma-scale", "linear", "--gamma-min=-1.7e308"]
+        assert main(argv + ["--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "gain area" in err and "gamma_av in [-1.7e+308, 10]" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["-1e-3", "-1.7e308", "-5e-324", "-2.5", "-7", "-.5", "-1E+2"])
+    def test_negative_value_after_a_space(self, value):
+        base = ["phase-diagram", "--gamma-scale", "linear", "--gamma-min"]
+        assert parse_config(base + [value]) == parse_config([*base[:-1], f"--gamma-min={value}"])
+
+    def test_option_after_a_flag_is_still_a_usage_error(self, capsys):
+        assert main(["phase-diagram", "--gamma-scale", "linear", "--gamma-min", "-x"]) == 2
+        assert "expected one argument" in capsys.readouterr().err
+
     def test_strong_gain_floquet_ham_is_finite(self, tmp_path):
         # gain area 1000 * pi * 10: the one-period map itself overflows doubles
         out = tmp_path / "fh.csv"

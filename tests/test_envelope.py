@@ -2,6 +2,7 @@
 replaced, which are kept here as the oracle: every output must be
 byte-identical to theirs."""
 
+import dataclasses
 import json
 import tracemalloc
 
@@ -11,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from floquet_ep.cli import parse_config, run
+from floquet_ep.presets import PRESET_NAMES, figure_preset
 from floquet_ep.sweep import AxisSpec, GridSpec, Quantity, compute_heatmap
 from floquet_ep.envelope import (
     _BLOCK_ROWS,
@@ -93,7 +95,7 @@ class TestBlockEncoder:
     @pytest.mark.parametrize(
         "values",
         [
-            # one type per column, repeated, so the block memo is in play
+            # one type per column, repeated
             [-0.0, 0.0, 1.5, -0.0, 0.0, 1.5, NAN, NAN, INF, -INF, INF, 5e-324, 5e-324, -5e-324],
             [0.0, 2.5, 0.0, 2.5],
             [-0.0, 2.5, -0.0, 2.5],
@@ -179,7 +181,7 @@ def test_mixed_columns_encode_as_the_row_wise_oracle(columns):
 @st.composite
 def _float_arrays(draw):
     """A float64 column at a row count around the block edges: either cycled
-    from a small pool (blocks repeat values, so the memo is taken) or
+    from a small pool (blocks repeat values, so the table is hit) or
     distinct seeded normals at a drawn scale; either holds drawn signed
     zeros, infinities and nans.  Sometimes a strided view, as a row of a
     transposed array is."""
@@ -209,7 +211,7 @@ def _half_distinct(n_rows, extra):
 
 
 _EDGE_ARRAYS = {
-    # a period longer than a block, then a table grown full and a repeating tail read through the block before
+    # a period longer than a block, then a table that restarts when full and a repeating tail after it
     "tile_1500": np.tile(np.arange(1500) / 7, 4),
     "full_table_then_period": np.concatenate([np.repeat(np.arange(2600) / 3, 2), np.arange(3000) / 13,
                                               np.tile(np.arange(100) / 11, 30)]),
@@ -223,6 +225,7 @@ _EDGE_ARRAYS = {
     "two_d_distinct": np.arange(2050.0).reshape(1025, 2) / 3,
     "nan_payloads": np.tile([_nan(0x7FF8000000000000), _nan(0x7FF8000000000001), _nan(0xFFF8000000000000),
                              1.0, -0.0, 0.0, np.inf], 300),
+    # a block half or just over half new, at an even and an odd row count
     "exactly_half_distinct": _half_distinct(1024, 0),
     "half_plus_one_distinct": _half_distinct(1024, 1),
     "odd_half_distinct": _half_distinct(1025, 0),
@@ -247,8 +250,8 @@ def _edge_examples(test):
 def test_array_column_encodes_as_its_list(arr, with_text):
     """An array column and its ``tolist`` give the same bytes, also beside a
     column of strings; the edge examples add other dtypes and shapes, nan
-    payloads, either side of the half-distinct table rule and row counts
-    around a block."""
+    payloads, half-new blocks, a table that restarts and row counts around
+    a block."""
     tags = [("unitary", "thermal")[i % 3 == 0] for i in range(len(arr))]
 
     def envelope(values):
@@ -360,3 +363,44 @@ def test_phase_map_formats_each_distinct_value_once(tmp_path, monkeypatch):
                         "--output", str(tmp_path / "phase.csv")])
     write_result(run(cfg))
     assert len(calls) <= 602
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_preset_encodes_as_the_row_wise_oracle(name, fmt):
+    """Every figure panel renders as the row-wise oracle over its materialized columns (a row source read
+    as ``values[:]``): float tables beside Bloch tags, pair columns, contours and generator rows."""
+    env = run(dataclasses.replace(figure_preset(name), format=fmt))
+    whole = ResultEnvelope(env.config, [Column(c.name, c.unit, c.values[:]) for c in env.columns], env.provenance)
+    render, oracle = (render_csv, oracle_csv) if fmt == "csv" else (render_json, oracle_json)
+    assert render(env) == oracle(whole)
+
+
+def test_row_source_indexing():
+    """A phase map's row source indexes as its materialized column, and iteration computes
+    a slice of rows per call of the row function, not one row per call."""
+    values = run(parse_config(["phase-diagram", "--grid", "400x400"])).columns[2].values
+    n, whole = len(values), values[:]
+    assert values[-1] == whole[-1] and values[n // 3] == whole[n // 3]
+    assert np.array_equal(values[::7], whole[::7]) and np.array_equal(values[-5::-3], whole[-5::-3])
+    with pytest.raises(IndexError):
+        values[n]
+    calls, rows = [], values.rows
+    values.rows = lambda idx: calls.append(len(idx)) or rows(idx)
+    assert list(values) == whole.tolist()
+    assert len(calls) <= -(-n // _BLOCK_ROWS) and sum(calls) == n
+
+
+def test_trajectory_conversion_count(tmp_path, monkeypatch):
+    """fig2b's six float columns of 25,601 rows make at most 53,500 float-to-text conversions: a table
+    that restarts when full makes 53,067, one that keeps its patterns and stops growing about 66,000."""
+    calls = []
+
+    def counting(enc):
+        return lambda value: (isinstance(value, float) and calls.append(value)) or enc(value)
+
+    monkeypatch.setattr("floquet_ep.envelope._csv_value", counting(_csv_value))
+    monkeypatch.setattr("floquet_ep.envelope._CSV_FLOAT", counting(_CSV_FLOAT))
+    cfg = dataclasses.replace(figure_preset("fig2b"), output_path=str(tmp_path / "fig2b.csv"))
+    write_result(run(cfg))
+    assert len(calls) <= 53_500
