@@ -143,8 +143,10 @@ def _period_samples(params: FloquetParams, sub: int):
         tags += [SegmentKind.UNITARY] * sub
         offsets.append(params.p * k / sub)
     if params.beta > 0:
+        with np.errstate(over="ignore"):  # -g - |g| can overflow to -inf; exp(-inf) = 0 is right
+            gain = _z_gain(g, np.abs(g)).diagonal(axis1=1, axis2=2)
         # row scaling: the product with the gain map minus its zero terms, which can flip a zero's sign
-        maps.append(_z_gain(g, np.abs(g)).diagonal(axis1=1, axis2=2)[:, :, None] * u_full)
+        maps.append(gain[:, :, None] * u_full)
         tags += [SegmentKind.THERMAL] * sub
         offsets.append(params.p + (1 - params.p) * k / sub)
     return np.concatenate(maps), tags, np.concatenate(offsets)

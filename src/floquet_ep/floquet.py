@@ -417,6 +417,13 @@ def ep_slope_approx(k: int, p: float, delta_omega: float) -> float:
     return k * abs(delta_omega) / (2 * (1 - p))
 
 
+def _check_rates(p: float, j_av: float) -> None:
+    if not 0 < p < 1:
+        raise ValueError(f"p must lie strictly between 0 and 1, got {p}")
+    if not 0 < j_av < math.inf:
+        raise ValueError(f"j_av must be positive and finite, got {j_av}")
+
+
 def ep_node_asymptote(k: int, p: float, j_av: float, delta_omega_prime: float) -> float:
     """Logarithmic divergence of the contour gain rate near the k-th node
     frequency ``2*p*j_av/(k + 1/2)``.
@@ -428,6 +435,7 @@ def ep_node_asymptote(k: int, p: float, j_av: float, delta_omega_prime: float) -
         raise ValueError("node index k must be >= 0")
     if delta_omega_prime <= 0:
         raise ValueError("delta_omega_prime must be positive")
+    _check_rates(p, j_av)
     pj = p * j_av
     return -(pj / (math.pi * (k + 0.5) * (1 - p))) * math.log(math.pi * delta_omega_prime / pj)
 
@@ -438,8 +446,7 @@ def ep_gamma_high_frequency(p: float, j_av: float) -> float:
     In this limit the stroboscopic problem reduces to a static one with
     time-averaged drive p*j_av and gain (1-p)*gamma_av.
     """
-    if not 0 < p < 1:
-        raise ValueError("p must lie strictly between 0 and 1")
+    _check_rates(p, j_av)
     return p * j_av / (1 - p)
 
 
@@ -449,7 +456,7 @@ def floquet_hamiltonian(params: FloquetParams) -> FloquetHamiltonian:
     The closed form never forms G: it is finite on and near an EP, and at any
     gain where the components, of size about ``|gain_area| / T``, fit a double;
     where they overflow it raises ValueError.  It reproduces the principal
-    matrix log (:func:`~floquet_ep.linalg.logm_2x2`) where that is well
+    matrix log (the tests' ``oracles.logm_2x2``) where that is well
     conditioned; h0 is 0, or omega/2 where the half-trace is negative outside
     the PT-symmetric phase.  ``on_contour`` flags ``|discriminant| <= CONTOUR_TOL``.
     """

@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .floquet import FloquetParams, _areas, _contour_gamma, _discriminant, _eigenvector_overlap, _phase_code
+from .floquet import FloquetParams, _areas, _check_rates, _contour_gamma, _discriminant, _eigenvector_overlap, _phase_code
 
 __all__ = [
     "AxisSpec",
@@ -183,6 +183,7 @@ def resonance_frequencies(p: float, j_av: float, k_max: int) -> list[ResonanceIn
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    _check_rates(p, j_av)
     pj = p * j_av
     out = [ResonanceInfo(k=0, omega_resonance=None, omega_node=2 * pj / 0.5)]
     for k in range(1, k_max + 1):

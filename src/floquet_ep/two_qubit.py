@@ -155,10 +155,14 @@ def propagator_analytic(params: TwoQubitParams, t: float) -> np.ndarray:
     in t times trig in j*t), and the broken phase where delta is imaginary
     and the trig functions turn hyperbolic.  Continuous across the PT
     transition by construction.  Raises ``ValueError`` naming the pair
-    rates, ``j * t`` or ``Re(delta) * t`` where they overflow doubles.
+    rates, ``j * t``, ``Re(delta) * t`` or ``e^{kappa t}`` (the broken phase's
+    growth, kappa = Im delta) where they overflow doubles.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return _propagators(params, np.array([float(t)]))[0] * np.exp(params.delta.imag * float(t))
+        out = _propagators(params, np.array([float(t)]))[0] * np.exp(params.delta.imag * float(t))
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"e^{{kappa t}} times the scaled propagator overflows doubles at {params} and t = {t:g}")
+    return out
 
 
 def validate_density(rho) -> np.ndarray:
@@ -246,8 +250,8 @@ def concurrence_closed_form_00(params: TwoQubitParams, t: float) -> float:
     point, and the hyperbolic form settling at kx/gamma in the broken
     phase.  Returns the limit value 0 at t = 0.
     """
-    if t < 0:
-        raise ValueError("t must be non-negative")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"t must be non-negative and finite, got {t}")
     if t == 0:
         return 0.0
     f0, cz = (complex(x[0]) for x in _f0_cos(params, np.array([float(t)])))

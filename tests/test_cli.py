@@ -644,6 +644,7 @@ def _extreme_argv(draw):
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=_extreme_argv())  # the examples are inputs that once ended in a numpy warning, an inf or a traceback
 @example(argv=["bloch-traj", "--periods", "2", "--substeps", "2", "--gamma-ratio", "1.7e308"])
+@example(argv=["bloch-traj", "--periods", "2", "--substeps", "1", "--gamma-ratio", "1e308", "--omega-ratio", "5"])
 @example(argv=["bloch-traj", "--periods", "2", "--substeps", "2", "--gamma-ratio", "1e-310", "--j-av", "1e-310"])
 @example(argv=["ep-contour", "--samples", "3", "--omega-min", "5e-324"])
 @example(argv=["ep-contour", "--samples", "3", "--p", "5e-324", "--omega-max", "3.14159"])
@@ -761,6 +762,10 @@ class TestNumpyFreeFrontEnd:
             assert getattr(floquet_ep.cli, name) is getattr(floquet_ep.args, name)
 
 
+#: every module of the package
+_MODULES = ("args", "bloch", "cli", "envelope", "floquet", "linalg", "presets", "sweep", "two_qubit")
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m_help(self):
         proc = subprocess.run(
@@ -789,12 +794,12 @@ class TestModuleEntryPoint:
         code = (
             "import sys; sys.modules['scipy'] = None\n"
             "import importlib, numpy as np, floquet_ep\n"
-            "for name in ('args', 'bloch', 'cli', 'envelope', 'floquet', 'linalg', 'presets', 'sweep', 'two_qubit'):\n"
+            f"for name in {_MODULES!r}:\n"
             "    importlib.import_module('floquet_ep.' + name)\n"
-            "from floquet_ep.linalg import eig, expm\n"
+            "from floquet_ep.linalg import eig\n"
             "for dim in (2, 4):\n"
             "    m = np.arange(dim * dim).reshape(dim, dim) / dim**2 + 1j * np.eye(dim)\n"
-            "    assert np.isfinite(expm(m)).all() and len(eig(m)) == dim\n"
+            "    assert len(eig(m)) == dim\n"
             "from floquet_ep import args\n"
             "sys.exit(args.main(['preset', 'fig3c', '--output', sys.argv[1]]))\n"
         )
@@ -802,6 +807,12 @@ class TestModuleEntryPoint:
         proc = _fresh_python("-c", code, str(out))
         assert proc.returncode == 0, proc.stderr
         assert out.read_text().count("\n") > 100
+
+    def test_every_name_in_all_resolves(self):
+        # a stale entry would break ``from floquet_ep.<module> import *``
+        for name in _MODULES:
+            module = importlib.import_module(f"floquet_ep.{name}")
+            assert [n for n in module.__all__ if not hasattr(module, n)] == [], name
 
     def test_package_import_leaves_numpy_unloaded(self):
         code = "import os, sys; env = dict(os.environ); import floquet_ep; print('numpy' in sys.modules, env == os.environ)"

@@ -2,24 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from floquet_ep.floquet import FloquetParams, ep_contour_gamma, floquet_operator
-from floquet_ep.linalg import (
-    IDENTITY_2,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    NearDefectiveError,
-    eig,
-    expm,
-    is_anti_hermitian,
-    is_hermitian,
-    is_unitary,
-    kron,
-    logm_2x2,
-    pauli_decompose,
-)
+from floquet_ep.linalg import IDENTITY_2, PAULI_X, PAULI_Z, eig, kron, pauli_decompose
 from floquet_ep.two_qubit import TwoQubitParams, hamiltonian_two_qubit
+from oracles import NearDefectiveError, logm_2x2
 
 
 def random_complex(rng, shape):
@@ -54,80 +42,6 @@ class TestPauliDecompose:
     def test_rejects_wrong_dimension(self):
         with pytest.raises(ValueError):
             pauli_decompose(np.eye(4))
-
-
-class TestExpm:
-    def test_zero_matrix(self):
-        assert np.abs(expm(np.zeros((2, 2))) - IDENTITY_2).max() < 1e-15
-
-    def test_quarter_pauli_rotation(self):
-        got = expm(-1j * (math.pi / 2) * PAULI_X)
-        assert np.abs(got - (-1j * PAULI_X)).max() < 1e-15
-
-    def test_inverse_pairing(self):
-        rng = np.random.default_rng(2)
-        for dim in (2, 4):
-            for _ in range(50):
-                m = random_complex(rng, (dim, dim))
-                m *= 5.0 / max(np.linalg.norm(m), 5.0)
-                prod = expm(m) @ expm(-m)
-                assert np.abs(prod - np.eye(dim)).max() < 1e-10
-
-    def test_anti_hermitian_gives_unitary(self):
-        rng = np.random.default_rng(3)
-        for dim in (2, 4):
-            for _ in range(50):
-                m = random_complex(rng, (dim, dim))
-                a = (m - m.conj().T) / 2
-                assert is_unitary(expm(a), tol=1e-12)
-
-    def test_hermitian_gives_positive_definite(self):
-        rng = np.random.default_rng(4)
-        for dim in (2, 4):
-            for _ in range(50):
-                m = random_complex(rng, (dim, dim))
-                h = (m + m.conj().T) / 2
-                e = expm(h)
-                assert is_hermitian(e, tol=1e-12 * np.abs(e).max())
-                assert np.linalg.eigvalsh(e).min() > 0
-
-    def test_determinant_is_exp_trace(self):
-        rng = np.random.default_rng(5)
-        for dim in (2, 4):
-            for _ in range(50):
-                m = random_complex(rng, (dim, dim))
-                det = np.linalg.det(expm(m))
-                expected = np.exp(np.trace(m))
-                assert abs(det - expected) < 1e-10 * abs(expected)
-
-    def test_small_vector_norm_series_branch(self):
-        # a tiny generator takes no squaring: the Taylor polynomial alone must be exact
-        m = 1e-6 * PAULI_Y
-        got = expm(m)
-        expected = np.cosh(1e-6) * np.array(IDENTITY_2) + np.sinh(1e-6) * PAULI_Y
-        assert np.abs(got - expected).max() < 1e-15
-
-    def test_rejects_nonfinite(self):
-        m = np.array([[np.nan, 0], [0, 1]], dtype=complex)
-        with pytest.raises(ValueError):
-            expm(m)
-
-    @pytest.mark.parametrize("norm", [1e-3, 0.5, 1.0, 5.0, 20.0, 60.0])
-    def test_matches_scipy(self, norm):
-        import scipy.linalg  # a test-only oracle: the package itself needs numpy only
-
-        rng = np.random.default_rng(9)
-        for dim in (2, 4):
-            for _ in range(50):
-                m = random_complex(rng, (dim, dim))
-                m *= norm / np.abs(m).sum(axis=0).max()
-                want = scipy.linalg.expm(m)
-                assert np.linalg.norm(expm(m) - want) <= 1e-12 * np.linalg.norm(want)
-
-    @pytest.mark.parametrize("m", [1000 * PAULI_Z, kron(1000 * PAULI_Z, IDENTITY_2)], ids=["2x2", "4x4"])
-    def test_overflow_raises(self, m):
-        with pytest.raises(OverflowError):
-            expm(m)
 
 
 class TestLogm:
@@ -239,14 +153,3 @@ class TestKron:
                 for k in range(2):
                     for l in range(2):
                         assert out[2 * i + k, 2 * j + l] == a[i, j] * b[k, l]
-
-
-class TestPredicates:
-    def test_unitary(self):
-        assert is_unitary(expm(-1j * 0.4 * PAULI_Y))
-        assert not is_unitary(2 * np.eye(2))
-
-    def test_hermitian_and_anti(self):
-        assert is_hermitian(PAULI_Z)
-        assert is_anti_hermitian(1j * PAULI_Z)
-        assert not is_hermitian(1j * PAULI_Z)

@@ -308,3 +308,20 @@ class TestResonances:
     def test_rejects_bad_k_max(self):
         with pytest.raises(ValueError):
             resonance_frequencies(0.5, 1.0, 0)
+
+    @pytest.mark.parametrize(
+        "p,j_av", [(0.5, -1.0), (0.5, 0.0), (0.5, math.inf), (0.5, math.nan), (0.0, 1.0), (1.0, 1.0), (math.nan, 1.0)]
+    )
+    @pytest.mark.parametrize(
+        "helper",
+        [
+            lambda p, j_av: resonance_frequencies(p, j_av, 2),
+            lambda p, j_av: ep_node_asymptote(0, p, j_av, 0.1),
+            ep_gamma_high_frequency,
+        ],
+        ids=["resonance_frequencies", "ep_node_asymptote", "ep_gamma_high_frequency"],
+    )
+    def test_rejects_rates_outside_their_range(self, helper, p, j_av):
+        # 0 < p < 1 and a finite j_av > 0, or no resonance, node or limit exists
+        with pytest.raises(ValueError, match="p must lie strictly between 0 and 1|j_av must be positive and finite"):
+            helper(p, j_av)

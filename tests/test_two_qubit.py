@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from floquet_ep.cli import main
 from floquet_ep.envelope import parse_csv
 from floquet_ep.floquet import PhaseKind
-from floquet_ep.linalg import IDENTITY_2, PAULI_X, PAULI_Z, eig, expm, kron
+from floquet_ep.linalg import IDENTITY_2, PAULI_X, PAULI_Z, eig, kron
 from floquet_ep.two_qubit import (
     _PARTIAL_TRACE,
     _YY,
@@ -189,11 +190,16 @@ class TestPropagator:
             (TwoQubitParams(1.0, 1e200, 0.0), 1.0, "kx\\^2 - gamma\\^2"),
             (TwoQubitParams(1.0, 0.0, 1.5), 1.7e308, "Re\\(delta\\) \\* t"),
             (TwoQubitParams(0.5, 1e150, 1e150), 1e200, "gamma \\* f0"),  # f0 = t at the exceptional point
+            (TwoQubitParams(0.3, 3.0, 1.0), 252.0, "e\\^\\{kappa t\\}"),  # kappa t = 712.7
         ],
     )
     def test_overflowing_phase_raises_naming_its_cause(self, params, t, cause):
         with pytest.raises(ValueError, match=cause):
             propagator_analytic(params, t)
+
+    def test_broken_phase_growth_is_finite_below_overflow(self):
+        # kappa = sqrt(8): e^{kappa t} fits a double at t = 250 (kappa t = 707.1), not at 252
+        assert np.all(np.isfinite(propagator_analytic(TwoQubitParams(0.3, 3.0, 1.0), 250.0)))
 
 
 class TestEvolveDensity:
@@ -258,6 +264,11 @@ class TestConcurrence:
 class TestClosedFormConcurrence:
     def test_zero_at_start(self):
         assert concurrence_closed_form_00(SYMMETRIC, 0.0) == 0.0
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -0.1])
+    def test_rejects_a_negative_or_non_finite_time(self, t):
+        with pytest.raises(ValueError, match="t must be non-negative and finite"):
+            concurrence_closed_form_00(SYMMETRIC, t)
 
     def test_periodic_maxima_in_symmetric_phase(self):
         delta = SYMMETRIC.delta.real
