@@ -5,20 +5,17 @@ preset.  Values may also come from an INI-style config file (one section per
 command).  Each run merges the built-in defaults, a preset's overrides, the
 config file and the flags, in that order, and validates the result once.
 Exit statuses: 0 success, 1 runtime or I/O failure, 2 usage error.  No numpy
-here: ``--help`` and usage errors end before :func:`main` loads the run layer,
-:mod:`floquet_ep.cli`, and its kernels.
+here: ``--help`` and usage errors need argparse alone, and end before :func:`main`
+loads the writer and the run layer, :mod:`floquet_ep.cli`, whose runners load their kernels.
 """
 
 from __future__ import annotations
 
 import argparse
-import configparser
-import json
 import math
 import re
 import sys
 
-from .envelope import FORMATS, RunConfig, write_result
 from .presets import PRESET_NAMES, PRESETS
 
 __all__ = ["UsageError", "build_parser", "parse_config", "main"]
@@ -87,12 +84,12 @@ _RUN_KEYS = ("output", "format", "seed")
 #: Type exemplars for the keys that have no default value.
 _UNSET_LIKE = {"seed": 0, "workers": 0, "omega_max": 0.0}
 
-#: ``sweep.Quantity`` values and ``two_qubit`` state labels, spelled out so that parsing loads no kernel
+#: ``sweep.Quantity``, ``envelope.FORMATS`` and ``two_qubit`` labels, spelled out: parsing loads no kernel or writer
 _CHOICES = {
     "gamma_scale": ("linear", "log"),
     "omega_scale": ("linear", "log"),
     "quantity": ("inner-product", "discriminant", "phase"),
-    "format": FORMATS,
+    "format": ("csv", "json"),
 }
 _PAIR_INITS = ("00", "bell", "mixed", "correlated")
 
@@ -139,6 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _read_config_file(path: str, command: str, keys: set[str]) -> dict:
     """Raw text values of section [command], each named in ``keys``;
     :func:`_validate` types them.  ``%`` is a literal character."""
+    import configparser
     parser = configparser.ConfigParser(interpolation=None)
     try:
         if not parser.read(path, encoding="utf-8"):
@@ -172,7 +170,11 @@ def _typed(key: str, value, like):
     expected = "a number or a list of numbers" if is_list else {float: "a number", int: "an integer"}[kind]
     if isinstance(value, str):
         try:
-            value = json.loads(value, parse_int=float) if is_list else kind(value)
+            if is_list:
+                import json
+                value = json.loads(value, parse_int=float)
+            else:
+                value = kind(value)
         except (ValueError, RecursionError):
             raise UsageError(f"invalid value for {key}: {value!r} (expected {expected})") from None
     elif is_list and isinstance(value, list):
@@ -247,8 +249,8 @@ def _validate(command: str, values: dict) -> dict:
     return p
 
 
-def parse_config(argv=None) -> RunConfig:
-    """Build a fully validated run configuration from argv.  Layers, each
+def parse_config(argv=None):
+    """Build a fully validated :class:`~floquet_ep.envelope.RunConfig` from argv.  Layers, each
     overriding the one before: the command defaults, a preset's overrides,
     the ``--config`` file section (keyed like the command's flags), the flags.
     The merged values, run keys included, pass :func:`_validate` once."""
@@ -267,6 +269,7 @@ def parse_config(argv=None) -> RunConfig:
         merged.update(_read_config_file(config, command, set(args)))
     p = _validate(command, {**_base(command), **merged, **flags})
     p.pop("workers", None)  # checked, but one array pass gives the same output for any count
+    from .envelope import RunConfig
     return RunConfig(
         command=command,
         parameters={k: v for k, v in p.items() if k not in _RUN_KEYS},
@@ -284,7 +287,8 @@ def main(argv=None) -> int:
         return 2
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
-    from .cli import run  # the run layer: numpy and the kernels load here
+    from .cli import run  # the run layer: numpy loads here, and each runner loads its own kernel
+    from .envelope import write_result
     from .linalg import NumericsError
 
     try:

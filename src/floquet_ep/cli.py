@@ -1,6 +1,6 @@
 """Command-line run layer: one runner per command, and :func:`run`.  The
 numpy-free front end :mod:`floquet_ep.args` imports it after parsing; it
-re-exports that module's :class:`UsageError`, :func:`parse_config` and :func:`main`."""
+re-exports that module's :class:`UsageError`, :func:`parse_config` and :func:`main`.  Each runner loads its kernel."""
 
 from __future__ import annotations
 
@@ -17,11 +17,7 @@ if "numpy" not in sys.modules and not any(v in os.environ for v in _BLAS_THREAD_
 import numpy as np
 
 from .args import UsageError, main, parse_config
-from .bloch import equal_superposition_xyz, evolve_state
 from .envelope import Column, RunConfig, make_envelope
-from .floquet import FloquetParams, _areas, _generator
-from .sweep import AxisSpec, GridSpec, Quantity, _cells, trace_contours
-from .two_qubit import TwoQubitParams, _timeseries, density_from_label
 
 __all__ = ["UsageError", "parse_config", "run", "main"]
 
@@ -47,6 +43,7 @@ class _Rows:
 def _run_phase_diagram(cfg: RunConfig) -> list[Column]:
     """Row ``i * n_omega + j``: gain i, frequency j.  The areas are monotone in both: checking the axis extremes
     here fails a bad grid before its file opens, and the rows are computed while they are written."""
+    from .sweep import AxisSpec, GridSpec, Quantity, _cells
     p = cfg.parameters
     grid = GridSpec(AxisSpec(p["gamma_min"], p["gamma_max"], p["grid"][0], p["gamma_scale"]),
                     AxisSpec(p["omega_min"], p["omega_max"], p["grid"][1], p["omega_scale"]), p["p"], p["j_av"])
@@ -60,6 +57,7 @@ def _run_phase_diagram(cfg: RunConfig) -> list[Column]:
 
 
 def _run_ep_contour(cfg: RunConfig) -> list[Column]:
+    from .sweep import trace_contours
     p = cfg.parameters
     contours = trace_contours(p["p"], p["j_av"], (p["omega_min"], p["omega_max"]), p["samples"])
     pj = p["p"] * p["j_av"]
@@ -79,6 +77,7 @@ def _run_ep_contour(cfg: RunConfig) -> list[Column]:
 def _run_floquet_ham(cfg: RunConfig) -> list[Column]:
     """One array pass over the frequencies through :func:`~floquet_ep.floquet._areas`;
     each row is the scalar :func:`~floquet_ep.floquet.floquet_hamiltonian` bit for bit."""
+    from .floquet import _areas, _generator
     p = cfg.parameters
     omega = np.linspace(p["omega"], p.get("omega_max", p["omega"]), p["omega_count"])
     T, drive_area, gain_area = _areas(p["p"], omega, p["j_av"], p["gamma_av"])
@@ -90,6 +89,8 @@ def _run_floquet_ham(cfg: RunConfig) -> list[Column]:
 
 
 def _run_bloch_traj(cfg: RunConfig) -> list[Column]:
+    from .bloch import equal_superposition_xyz, evolve_state
+    from .floquet import FloquetParams
     p = cfg.parameters
     params = FloquetParams.from_dimensionless(p["gamma_ratio"], p["omega_ratio"], p["p"], p["j_av"])
     if p["init"] == "xyz":
@@ -114,6 +115,7 @@ def _run_bloch_traj(cfg: RunConfig) -> list[Column]:
 
 
 def _run_two_qubit(cfg: RunConfig) -> list[Column]:
+    from .two_qubit import TwoQubitParams, _timeseries, density_from_label
     p = cfg.parameters
     rho0 = density_from_label(p["init"])
     t_grid = np.linspace(0.0, p["t_max"], p["steps"] + 1)

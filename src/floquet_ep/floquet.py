@@ -17,11 +17,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .linalg import IDENTITY_2, PauliDecomposition, pauli_decompose
+from .linalg import IDENTITY_2, PauliDecomposition, PhaseKind, pauli_decompose
 
 __all__ = [
     "FloquetParams",
@@ -79,8 +78,9 @@ class FloquetParams:
             raise ValueError(f"p must lie in [0, 1], got {self.p}")
         if not 0 < self.T < math.inf:
             raise ValueError(f"T must be positive and finite, got {self.T}")
-        if not self.j_av >= 0 or math.isnan(self.gamma_av):
-            raise ValueError(f"j_av must be non-negative and gamma_av not nan, got {self.j_av}, {self.gamma_av}")
+        if not (self.j_av >= 0 and math.isfinite(self.drive_area) and math.isfinite(self.gain_area)):  # inf rate: inf or nan area
+            raise ValueError(f"j_av must be non-negative, and the rates and areas finite; got j_av {self.j_av}, "
+                             f"gamma_av {self.gamma_av}, drive area {self.drive_area}, gain area {self.gain_area}")
 
     @classmethod
     def from_omega(cls, p: float, omega: float, j_av: float, gamma_av: float) -> "FloquetParams":
@@ -156,12 +156,6 @@ def _areas(p, omega, j_av, gamma_av):
         raise ValueError("omega must be positive, and the drive area and gain area finite; omega in "
                          f"[{np.min(omega):g}, {np.max(omega):g}], gamma_av in [{np.min(gamma_av):g}, {np.max(gamma_av):g}]")
     return areas
-
-
-class PhaseKind(Enum):
-    PT_SYMMETRIC = "pt-symmetric"
-    PT_BROKEN = "pt-broken"
-    EXCEPTIONAL_POINT = "exceptional-point"
 
 
 @dataclass(frozen=True)
@@ -353,7 +347,8 @@ def floquet_eigenvalues(params: FloquetParams) -> tuple[complex, complex]:
     """Closed-form eigenvalues of the one-period map.
 
     Both lie on the unit circle in the PT-symmetric phase; their product is
-    the determinant, which is exactly 1 for this protocol.
+    the determinant, which is exactly 1 for this protocol.  They saturate where the
+    discriminant does (gain area 1000, say): ``(inf, nan)``, or ``(nan, -inf)`` if cos(drive_area) < 0.
     """
     g0 = float(_half_trace(params.drive_area, params.gain_area))
     mod = cmath.sqrt(complex(discriminant(params)))
@@ -365,8 +360,6 @@ def classify_phase(params: FloquetParams, tol: float = PHASE_TOL) -> PhaseLabel:
     if tol <= 0:
         raise ValueError("tol must be positive")
     d = discriminant(params)
-    if math.isnan(d):
-        raise ValueError(f"discriminant is nan at drive area {params.drive_area:g}, gain area {params.gain_area:g}")
     kind = (PhaseKind.PT_SYMMETRIC, PhaseKind.EXCEPTIONAL_POINT, PhaseKind.PT_BROKEN)[int(_phase_code(d, tol)) + 1]
     return PhaseLabel(kind=kind, discriminant=d, tol=tol)
 
@@ -420,8 +413,8 @@ def ep_slope_approx(k: int, p: float, delta_omega: float) -> float:
 def _check_rates(p: float, j_av: float) -> None:
     if not 0 < p < 1:
         raise ValueError(f"p must lie strictly between 0 and 1, got {p}")
-    if not 0 < j_av < math.inf:
-        raise ValueError(f"j_av must be positive and finite, got {j_av}")
+    if not (0 < j_av < math.inf and 0 < p * j_av / (1 - p) < math.inf):
+        raise ValueError(f"j_av must be positive and finite, and so must p * j_av / (1 - p); got p {p}, j_av {j_av}")
 
 
 def ep_node_asymptote(k: int, p: float, j_av: float, delta_omega_prime: float) -> float:
@@ -433,11 +426,14 @@ def ep_node_asymptote(k: int, p: float, j_av: float, delta_omega_prime: float) -
     """
     if k < 0:
         raise ValueError("node index k must be >= 0")
-    if delta_omega_prime <= 0:
-        raise ValueError("delta_omega_prime must be positive")
     _check_rates(p, j_av)
     pj = p * j_av
-    return -(pj / (math.pi * (k + 0.5) * (1 - p))) * math.log(math.pi * delta_omega_prime / pj)
+    x = math.pi * delta_omega_prime / pj
+    gamma = -(pj / (math.pi * (k + 0.5) * (1 - p))) * math.log(x) if x > 0 else math.nan
+    if not math.isfinite(gamma):
+        raise ValueError(f"no finite asymptote at k {k}, p {p}, j_av {j_av}, delta_omega_prime {delta_omega_prime}; "
+                         "it needs delta_omega_prime > 0")
+    return gamma
 
 
 def ep_gamma_high_frequency(p: float, j_av: float) -> float:

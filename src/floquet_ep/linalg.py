@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
@@ -46,6 +47,12 @@ _PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
 
 class NumericsError(RuntimeError):
     """A numerical routine failed to reach its accuracy contract."""
+
+
+class PhaseKind(Enum):  # exported by floquet; defined here so that two_qubit need not load floquet
+    PT_SYMMETRIC = "pt-symmetric"
+    PT_BROKEN = "pt-broken"
+    EXCEPTIONAL_POINT = "exceptional-point"
 
 
 def _as_matrix(m, dims=(2, 4)) -> np.ndarray:

@@ -8,8 +8,6 @@ or format is overridden there.
 
 from __future__ import annotations
 
-from .envelope import RunConfig
-
 __all__ = ["figure_preset", "PRESETS", "PRESET_NAMES"]
 
 _FIG3CD = {"gamma": [0.75, 1.0, 1.25], "t_max": 25.0, "steps": 1000}
@@ -31,8 +29,8 @@ PRESETS = {
 PRESET_NAMES = tuple(sorted(PRESETS))
 
 
-def figure_preset(name: str) -> RunConfig:
-    """Fully resolved run configuration for a named figure panel; unknown
+def figure_preset(name: str):
+    """Fully resolved :class:`~floquet_ep.envelope.RunConfig` for a named figure panel; unknown
     names raise ValueError (the CLI turns that into a usage error)."""
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose from {', '.join(PRESET_NAMES)}")

@@ -26,8 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .floquet import PhaseKind
-from .linalg import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, NumericsError, kron
+from .linalg import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, NumericsError, PhaseKind, kron
 
 __all__ = [
     "TwoQubitParams",
@@ -110,10 +109,12 @@ def hamiltonian_two_qubit(params: TwoQubitParams) -> np.ndarray:
     )
 
 
-def _f0_cos(params: TwoQubitParams, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``f0 = sin(delta t)/delta`` (its series below |delta t| = 1e-4) and ``cos(delta t)``.
+@np.errstate(over="ignore", invalid="ignore")  # overflow yields non-finite values; checked below
+def _pair_terms(params: TwoQubitParams, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``P+- = cos(delta t) +- gamma f0`` and ``kx f0`` for ``f0 = sin(delta t)/delta`` (its series below
+    |delta t| = 1e-4); ``ValueError`` naming the pair rate, or product with t or f0, that overflows doubles.
 
-    In the broken phase (kappa = Im delta > 0) both are divided by e^{kappa t}:
+    In the broken phase (kappa = Im delta > 0) all are divided by e^{kappa t}:
     post-selection removes that overall scale, and without it they overflow.
     """
     kappa = params.delta.imag
@@ -123,24 +124,28 @@ def _f0_cos(params: TwoQubitParams, ts: np.ndarray) -> tuple[np.ndarray, np.ndar
     series = ts * (1.0 - z2 / 6.0 + z2 * z2 / 120.0)
     if kappa > 0:
         f0 = np.where(small, series * np.exp(-kappa * ts), -np.expm1(-2 * kappa * ts) / (2 * kappa))
-        return f0, (1.0 + np.exp(-2 * kappa * ts)) / 2
-    return np.where(small, series, ts * np.sin(zs) / zs), np.cos(z)
+        cz = (1.0 + np.exp(-2 * kappa * ts)) / 2
+    else:
+        f0, cz = np.where(small, series, ts * np.sin(zs) / zs), np.cos(z)
+    gf, kf = params.gamma * f0, params.kx * f0
+    for name, value in (("kx^2 - gamma^2", params.delta), ("Re(delta) * t", params.delta.real * ts),
+                        ("gamma * f0", gf), ("kx * f0", kf)):  # Re(delta) only: the broken phase's growth is scaled out
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} overflows doubles at {params} and t up to {ts.max():g}")
+    return cz + gf, cz - gf, kf
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow yields non-finite entries; callers check
 def _propagators(params: TwoQubitParams, ts: np.ndarray) -> np.ndarray:
     """Closed-form propagators at every time in ``ts``, shape (n, 4, 4); in
-    the broken phase divided by e^{kappa t}, as :func:`_f0_cos` is.  Raises
+    the broken phase divided by e^{kappa t}, as :func:`_pair_terms` is.  Raises
     ``ValueError`` naming the pair rate, or product with t or f0, that overflows doubles."""
     if np.any(ts < 0):
         raise ValueError("t must be non-negative")
-    f0, cz = _f0_cos(params, ts)
-    gf, kf = params.gamma * f0, params.kx * f0
-    for name, value in (("kx^2 - gamma^2", params.delta), ("j * t", params.j * ts), ("Re(delta) * t", params.delta.real * ts),
-                        ("gamma * f0", gf), ("kx * f0", kf)):  # Re(delta) only: the broken phase's growth is scaled out
-        if not np.all(np.isfinite(value)):
-            raise ValueError(f"{name} overflows doubles at {params} and t up to {ts.max():g}")
-    pp, pm, c, s = cz + gf, cz - gf, np.cos(params.j * ts), np.sin(params.j * ts)
+    pp, pm, kf = _pair_terms(params, ts)
+    if not np.all(np.isfinite(params.j * ts)):
+        raise ValueError(f"j * t overflows doubles at {params} and t up to {ts.max():g}")
+    c, s = np.cos(params.j * ts), np.sin(params.j * ts)
     a, b, e, f, g, h = c * pp, -1j * s * pp, -kf * s, -1j * kf * c, c * pm, -1j * s * pm
     return np.stack([a, b, e, f, b, a, f, e, e, f, g, h, f, e, h, g], axis=-1).reshape(-1, 4, 4)
 
@@ -254,13 +259,10 @@ def concurrence_closed_form_00(params: TwoQubitParams, t: float) -> float:
         raise ValueError(f"t must be non-negative and finite, got {t}")
     if t == 0:
         return 0.0
-    f0, cz = (complex(x[0]) for x in _f0_cos(params, np.array([float(t)])))
-    pp = cz + params.gamma * f0
-    num = 2 * params.kx * abs(f0 * pp)
-    den = abs(params.kx**2 * f0 * f0 + pp * pp)
-    if den == 0.0:
-        return 0.0
-    return float(num / den)
+    pp, _, kf = (complex(x[0]) for x in _pair_terms(params, np.array([float(t)])))
+    m = max(abs(pp), abs(kf))  # the form is homogeneous in (kx f0, P+): scaled by m > 0, no square overflows
+    u, v = kf / m, pp / m
+    return 2 * abs(u * v) / abs(u * u + v * v)
 
 
 def steady_state_concurrence(params: TwoQubitParams) -> float | None:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from floquet_ep.args import _CHOICES, _DEFAULTS, _PAIR_INITS, _RUN_KEYS, build_parser
 from floquet_ep.cli import UsageError, main, parse_config, run
 from floquet_ep.envelope import (
+    FORMATS,
     Column,
     ResultEnvelope,
     RunConfig,
@@ -196,6 +197,7 @@ class TestParseConfig:
 def test_literal_choices_match_their_sources():
     # the front end spells these out so that parsing loads no kernel module
     assert _CHOICES["quantity"] == tuple(q.value for q in Quantity)
+    assert _CHOICES["format"] == FORMATS
     assert _PAIR_INITS == tuple(_DENSITY_LABELS)
 
 
@@ -730,14 +732,29 @@ _USAGE_ERROR_ARGVS = [
 ]
 
 
+#: modules that only a run needs: the result writer and what it loads, and the config-file reader
+_RUN_ONLY_MODULES = ("floquet_ep.envelope", "dataclasses", "subprocess", "configparser")
+
+#: a short run of each command -> the ``floquet_ep`` kernel modules it loads
+_RUN_KERNELS = [
+    (["phase-diagram", "--grid", "4x4"], ("linalg", "floquet", "sweep")),
+    (["ep-contour", "--samples", "50"], ("linalg", "floquet", "sweep")),
+    (["floquet-ham"], ("linalg", "floquet")),
+    (["bloch-traj", "--periods", "2", "--substeps", "4"], ("linalg", "floquet", "bloch")),
+    (["two-qubit", "--steps", "10"], ("linalg", "two_qubit")),
+    (["preset", "fig3c"], ("linalg", "two_qubit")),
+]
+
+
 class TestNumpyFreeFrontEnd:
-    """``--help`` and usage errors end before numpy or any kernel module loads,
-    with the same status and bytes as a process that loaded them all first."""
+    """``--help`` and usage errors end before numpy, any kernel module or the writer loads,
+    with the same status and bytes as a process that loaded them all first; a run loads
+    only its own command's kernel modules."""
 
     @staticmethod
-    def _entry_point(tmp_path, argv, preload=""):
+    def _entry_point(tmp_path, argv, preload="", modules=_KERNEL_MODULES):
         report = tmp_path / "report.txt"
-        code = _ENTRY_POINT.format(preload=preload, kernels=_KERNEL_MODULES)
+        code = _ENTRY_POINT.format(preload=preload, kernels=modules)
         proc = subprocess.run([sys.executable, "-c", code, str(report), *argv], capture_output=True)
         status, loaded = json.loads(report.read_text())
         return status, proc.stdout, proc.stderr, loaded
@@ -751,8 +768,20 @@ class TestNumpyFreeFrontEnd:
             assert out == b"" and err.startswith(b"error: ") and err.count(b"\n") == 1
         else:
             assert err == b"" and out.startswith(b"usage: floquet-ep")
-        eager = self._entry_point(tmp_path, argv, preload="import floquet_ep.cli")
+        eager = self._entry_point(
+            tmp_path, argv, preload="import floquet_ep.cli, floquet_ep.bloch, floquet_ep.sweep, floquet_ep.two_qubit"
+        )
         assert eager == (status, out, err, list(_KERNEL_MODULES))
+
+    @pytest.mark.parametrize("argv", _HELP_ARGVS + _USAGE_ERROR_ARGVS, ids=" ".join)
+    def test_loads_no_writer_or_config_reader(self, tmp_path, argv):
+        assert self._entry_point(tmp_path, argv, modules=_RUN_ONLY_MODULES)[3] == []
+
+    @pytest.mark.parametrize("argv, kernels", _RUN_KERNELS, ids=[" ".join(a) for a, _ in _RUN_KERNELS])
+    def test_each_command_loads_only_its_kernels(self, tmp_path, argv, kernels):
+        status, _, err, loaded = self._entry_point(tmp_path, [*argv, "--output", str(tmp_path / "out.csv")])
+        assert (status, err) == (0, b"")
+        assert loaded == ["numpy", *(m for m in _KERNEL_MODULES[1:] if m.split(".")[1] in kernels)]
 
     def test_cli_reexports_the_front_end(self):
         import floquet_ep.args

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -44,6 +44,11 @@ def contour_params(p=0.5, T=1.0, j_av=1.7330, branch=1) -> FloquetParams:
     return base.with_gamma(gamma)
 
 
+#: any double: the extremes and non-finite values first, then hypothesis' own draws
+_ANY_FLOAT = st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 0.5, 50.0, 1e154, 1e308, 1.7e308, math.inf, -math.inf, math.nan]),
+                       st.floats())
+
+
 class TestParams:
     def test_segment_durations_sum_to_period(self):
         params = FloquetParams(p=0.3, T=2.5, j_av=1.0, gamma_av=0.2)
@@ -76,6 +81,37 @@ class TestParams:
     def test_rejects_nan_rates(self, j_av, gamma_av):
         with pytest.raises(ValueError, match="nan"):
             FloquetParams(p=0.5, T=2.0, j_av=j_av, gamma_av=gamma_av)
+
+    @pytest.mark.parametrize(
+        "p,T,j_av,gamma_av",
+        [(0.5, 2.0, 1.0, math.inf), (0.5, 2.0, 1.0, -math.inf), (0.5, 2.0, math.inf, 1.0), (0.0, 2.0, math.inf, 1.0),
+         (1.0, 2.0, 1.0, math.inf), (1.0, 1e308, 50.0, 1e-300), (0.5, 1e308, 1.0, 1e308)],
+    )
+    def test_rejects_infinite_rates_and_overflowing_areas(self, p, T, j_av, gamma_av):
+        with pytest.raises(ValueError, match="rates and areas finite"):
+            FloquetParams(p=p, T=T, j_av=j_av, gamma_av=gamma_av)
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=st.floats(0.0, 1.0), T=_ANY_FLOAT, j_av=_ANY_FLOAT, gamma_av=_ANY_FLOAT)
+    @example(p=1.0, T=1e308, j_av=50.0, gamma_av=1e-300)  # drive area 5e309: accepted once, then cos warned
+    def test_accepted_params_give_finite_or_saturated_results(self, p, T, j_av, gamma_av):
+        # Tier-1 turns RuntimeWarnings into errors, so any warning fails here too
+        try:
+            params = FloquetParams(p=p, T=T, j_av=j_av, gamma_av=gamma_av)
+        except ValueError:
+            return
+        d, lam = discriminant(params), floquet_eigenvalues(params)
+        assert d == math.inf or (math.isfinite(d) and all(cmath.isfinite(x) for x in lam))
+        assert classify_phase(params).discriminant == d
+        assert 0.0 <= eigenvector_overlap(params) <= 1.0
+        try:
+            floquet_operator(params)
+        except FloatingPointError:  # e^{|gain area|} overflows
+            assert abs(params.gain_area) > 700
+        try:
+            floquet_hamiltonian(params)
+        except ValueError as exc:
+            assert "generator is not finite" in str(exc)
 
     def test_degenerate_fractions_admitted(self):
         FloquetParams(p=0.0, T=1.0, j_av=1.0, gamma_av=0.5)
@@ -243,8 +279,9 @@ class TestPhase:
                 assert abs(abs(lam_p) - abs(lam_m)) > 1e-9
 
     def test_nan_discriminant_raises(self):
-        # p = 1 leaves no thermal segment, so an infinite gain rate gives gain area inf * 0
-        with pytest.raises(ValueError, match="discriminant is nan"):
+        # p = 1 leaves no thermal segment, so an infinite gain rate gives gain area inf * 0 = nan and
+        # a nan discriminant; the parameters reject such a point, so classify_phase never sees one
+        with pytest.raises(ValueError, match="rates and areas finite"):
             classify_phase(FloquetParams(p=1.0, T=2.0, j_av=1.0, gamma_av=math.inf))
 
 
@@ -464,10 +501,10 @@ class TestEffectiveGenerator:
             done += 1
 
     def test_raises_where_the_generator_overflows(self):
-        # at gain area 1.7e308 the components no longer fit a double
-        for gamma_av in (1.7e308, math.inf):
-            with pytest.raises(ValueError, match="generator is not finite"):
-                floquet_hamiltonian(FloquetParams(p=0.5, T=2.0, j_av=1.0, gamma_av=gamma_av))
+        # at gain area 1.7e308 the components no longer fit a double; an infinite gain rate is
+        # rejected by the parameters (TestParams::test_rejects_infinite_rates_and_overflowing_areas)
+        with pytest.raises(ValueError, match="generator is not finite"):
+            floquet_hamiltonian(FloquetParams(p=0.5, T=2.0, j_av=1.0, gamma_av=1.7e308))
 
     def test_nan_gain_rate_raises_before_the_generator(self):
         with pytest.raises(ValueError, match="gamma_av"):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -310,7 +311,9 @@ class TestResonances:
             resonance_frequencies(0.5, 1.0, 0)
 
     @pytest.mark.parametrize(
-        "p,j_av", [(0.5, -1.0), (0.5, 0.0), (0.5, math.inf), (0.5, math.nan), (0.0, 1.0), (1.0, 1.0), (math.nan, 1.0)]
+        "p,j_av",
+        [(0.5, -1.0), (0.5, 0.0), (0.5, math.inf), (0.5, math.nan), (0.0, 1.0), (1.0, 1.0), (math.nan, 1.0),
+         (0.9999999999999999, 1e308), (5e-324, 0.5)],  # p j_av / (1 - p) overflows; p j_av underflows to 0
     )
     @pytest.mark.parametrize(
         "helper",
@@ -325,3 +328,9 @@ class TestResonances:
         # 0 < p < 1 and a finite j_av > 0, or no resonance, node or limit exists
         with pytest.raises(ValueError, match="p must lie strictly between 0 and 1|j_av must be positive and finite"):
             helper(p, j_av)
+
+    @pytest.mark.parametrize("j_av,delta_omega_prime", [(1.0, 1e308), (1e300, 5e-324), (1.0, math.nan)])
+    def test_node_asymptote_that_is_not_finite_raises(self, j_av, delta_omega_prime):
+        # the log's argument overflows, underflows to 0 or is nan
+        with pytest.raises(ValueError, match=re.escape(f"no finite asymptote at k 0, p 0.5, j_av {j_av}, delta_omega_prime")):
+            ep_node_asymptote(0, 0.5, j_av, delta_omega_prime)

@@ -309,6 +309,22 @@ class TestClosedFormConcurrence:
                 closed = concurrence_closed_form_00(params, float(t))
                 assert spectral == pytest.approx(closed, abs=1e-8)
 
+    def test_exceptional_point_at_a_huge_time_is_the_run_path_limit(self):
+        # kx f0 and P+ reach 7e202, so their squares overflow unless the form is scaled first
+        params = TwoQubitParams(j=0.5, gamma=700.0, kx=700.0)
+        run_path = entanglement_timeseries(ground_density(), params, [0.0, 1e200])[-1].concurrence
+        assert concurrence_closed_form_00(params, 1e200) == pytest.approx(run_path, abs=1e-12)
+        assert run_path == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "params,t,cause",
+        [(TwoQubitParams(0.5, 0.0, 1e200), 1.0, "kx\\^2 - gamma\\^2"), (TwoQubitParams(0.5, 1e200, 0.0), 1.0, "kx\\^2 - gamma\\^2"),
+         (TwoQubitParams(0.5, 0.0, 1.5), 1.7e308, "Re\\(delta\\) \\* t"), (TwoQubitParams(0.5, 1e150, 1e150), 1e200, "gamma \\* f0")],
+    )
+    def test_overflow_raises_naming_its_cause(self, params, t, cause):
+        with pytest.raises(ValueError, match=cause):
+            concurrence_closed_form_00(params, t)
+
     def test_steady_state_helper(self):
         assert steady_state_concurrence(SYMMETRIC) is None
         assert steady_state_concurrence(AT_EP) == 1.0
@@ -488,6 +504,24 @@ class TestPairProperties:
         ts = np.linspace(0.0, t_max, 33)
         for got, want in zip(_timeseries(validate_density(rho0), params, ts), spectral_timeseries(rho0, params, ts)):
             assert np.abs(got - want).max() <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(label=st.sampled_from(["00", "bell"]), j=st.floats(0.0, 2.0), kx=st.floats(0.1, 2.0),
+           ratio=st.one_of(st.floats(0.0, 0.99), st.just(1.0), st.floats(1.01, 3.0)), t_max=st.floats(1e-3, 200.0))
+    @example(label="00", j=0.5, kx=1.0, ratio=1.0, t_max=200.0)
+    @example(label="bell", j=0.5, kx=1.0, ratio=1.0, t_max=200.0)
+    def test_pure_start_entropies_are_wootters_entanglement(self, label, j, kx, ratio, t_max):
+        # a pure pair state's reduced states have eigenvalues (1 +- sqrt(1 - C^2))/2 [Wootters 1998],
+        # so both entropies are E(C): maximal where C is, at the EP; below, at (ratio 1) and above it
+        params = TwoQubitParams(j=j, gamma=kx * ratio, kx=kx)
+        _, c, s_u, s_t = _timeseries(density_from_label(label), params, np.linspace(0.0, t_max, 65))
+        c = np.minimum(c, 1.0)  # the run path's C may exceed 1 by rounding
+        hi = (1 + np.sqrt((1 - c) * (1 + c))) / 2
+        lo = c * c / (4 * hi)  # 1 - hi without its cancellation
+        with np.errstate(divide="ignore", invalid="ignore"):
+            e_of_c = -hi * np.log2(hi) - np.where(lo > 0, lo * np.log2(lo), 0.0)
+        assert np.abs(s_u - e_of_c).max() <= 1e-12
+        assert np.abs(s_t - e_of_c).max() <= 1e-12
 
     @settings(max_examples=100, deadline=None)
     @given(j=st.floats(0.0, 10.0), gamma=_RATE, kx=_RATE, t=st.floats(0.0, 1e4))
