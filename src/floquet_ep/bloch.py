@@ -6,7 +6,9 @@ post-selection acts in experiments: the qubit never leaves the sphere
 surface.  Renormalizing is projective, so this equals renormalizing after
 every substep to rounding.  Unitary substeps precess the state about the
 x-axis; thermal substeps pull it along meridians toward the north pole (the
-amplified level)."""
+amplified level).  One period recurrence gives the samples: :func:`evolve_state`
+holds them all, and the ``bloch-traj`` command streams them to its file a block
+at a time, holding nothing that grows with the number of periods."""
 
 from __future__ import annotations
 
@@ -69,15 +71,20 @@ class BlochState:
         v = np.asarray(psi, dtype=complex)
         if v.shape != (2,):
             raise ValueError("statevector must have two components")
-        n = np.linalg.norm(v)
-        if n == 0:
+        m = np.abs([v.real, v.imag]).max()
+        if not math.isfinite(m):
+            raise ValueError("statevector must be finite")
+        if m == 0:
             raise ValueError("zero statevector has no Bloch representation")
-        theta, phi = _angles(v / n)
+        e = -math.frexp(m)[1]  # the angles are scale-free: an exact power of two instead of a norm that can overflow
+        theta, phi = _angles(np.ldexp(v.real, e) + 1j * np.ldexp(v.imag, e))
         return cls(theta=float(theta), phi=float(phi))
 
     @classmethod
     def from_cartesian(cls, vec) -> "BlochState":
         x, y, z = (float(c) for c in vec)
+        if not all(map(math.isfinite, (x, y, z))):
+            raise ValueError("Bloch vector must be finite")
         theta = math.acos(min(1.0, max(-1.0, z)))
         phi = math.atan2(y, x)
         if phi >= math.pi:  # keep phi in [-pi, pi)
@@ -152,6 +159,69 @@ def _period_samples(params: FloquetParams, sub: int):
     return np.concatenate(maps), tags, np.concatenate(offsets)
 
 
+class _Samples:
+    """A trajectory's rows on request: row 0 is the start state, row ``1 + n * spp + s`` sample s of
+    period n.  One period recurrence serves :func:`evolve_state` (every row at once) and the streamed
+    ``bloch-traj`` columns (a block at a time).  It holds the last period it computed, so rows asked
+    for in order cost one pass and an earlier row restarts from the start state; nothing it holds
+    grows with the number of periods.  Raises ValueError for a non-normalized initial state."""
+
+    def __init__(self, psi0, params: FloquetParams, n_periods: int, substeps: int):
+        psi = np.asarray(psi0, dtype=complex).copy()
+        if psi.shape != (2,):
+            raise ValueError("initial state must be a two-component vector")
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing or nan norm is not 1
+            if not abs(np.linalg.norm(psi) - 1.0) <= 1e-9:
+                raise ValueError("initial state must be normalized")
+        if n_periods < 1:
+            raise ValueError("n_periods must be >= 1")
+        if substeps < 1:
+            raise ValueError("substeps_per_segment must be >= 1")
+        self.maps, tags, self.offsets = _period_samples(params, substeps)
+        self.tags = [SegmentKind.UNITARY, *tags]  # row 0's, then each sample's of a period
+        self._tag_values = np.array([tag.value for tag in self.tags], dtype=object)
+        self.n = 1 + n_periods * len(self.maps)
+        self._start = self._batch = psi[None]  # the held period's samples; the start state is period -1
+        self._period, self._block = -1, (None, None)
+
+    def states(self, a: int, b: int) -> np.ndarray:
+        """Normalized statevectors of rows ``a`` to ``b - 1``, shape (b - a, 2)."""
+        first, last = (a - 1) // len(self.maps), (b - 2) // len(self.maps)  # periods of rows a and b - 1
+        if first < self._period:
+            self._period, self._batch = -1, self._start
+        batches = []
+        with np.errstate(invalid="ignore", divide="ignore"):
+            for n in range(self._period, last + 1):
+                if n > self._period:
+                    batch = self.maps @ self._batch[-1]
+                    batch /= np.linalg.norm(batch, axis=1, keepdims=True)
+                    self._period, self._batch = n, batch
+                if n >= first:
+                    batches.append(self._batch)
+        out = np.concatenate(batches or [self._start[:0]])[a - max(0, 1 + first * len(self.maps)) :][: b - a]
+        if not np.all(np.isfinite(out)):
+            raise ValueError("zero statevector has no Bloch representation")
+        return out
+
+    def times(self, rows: np.ndarray) -> np.ndarray:
+        """Times of ``rows`` in units of the period."""
+        n, s = np.divmod(rows - 1, len(self.maps))  # row 0 is in period -1
+        return np.where(rows > 0, n + self.offsets[s], 0.0)
+
+    def segments(self, rows: np.ndarray) -> np.ndarray:
+        """Segment tag values ('unitary' or 'thermal') of ``rows``, an object array."""
+        return self._tag_values[np.where(rows > 0, (rows - 1) % len(self.maps) + 1, 0)]
+
+    def bloch(self, k: int, rows: np.ndarray) -> np.ndarray:
+        """Column ``k`` of theta, phi, x, y and z at ``rows``; the block of rows they span is computed
+        once while its columns are asked for in turn."""
+        span = (int(rows.min()), int(rows.max()) + 1) if len(rows) else (0, 0)
+        if self._block[0] != span:
+            theta, phi = _angles(self.states(*span))
+            self._block = span, (theta, phi, *_cartesian(theta, phi).T)
+        return self._block[1][k][rows - span[0]]
+
+
 def evolve_state(
     psi0,
     params: FloquetParams,
@@ -164,41 +234,19 @@ def evolve_state(
     partial map up to that sample and renormalized (post-selection).
     Substeps only refine the sampling: the segment maps are exact, so
     doubling ``substeps_per_segment`` leaves the sampled states unchanged
-    to rounding.
+    to rounding.  The whole trajectory is held; the ``bloch-traj`` command
+    streams the same rows instead.
 
     Raises ValueError for a non-normalized initial state.
     """
-    psi = np.asarray(psi0, dtype=complex).copy()
-    if psi.shape != (2,):
-        raise ValueError("initial state must be a two-component vector")
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
-        raise ValueError("initial state must be normalized")
-    if n_periods < 1:
-        raise ValueError("n_periods must be >= 1")
-    if substeps_per_segment < 1:
-        raise ValueError("substeps_per_segment must be >= 1")
-
-    maps, tags, offsets = _period_samples(params, substeps_per_segment)
-    spp = len(maps)
-    psis = np.empty((1 + n_periods * spp, 2), dtype=complex)
-    psis[0] = psi
-    with np.errstate(invalid="ignore", divide="ignore"):
-        for n in range(n_periods):
-            batch = maps @ psi
-            batch /= np.linalg.norm(batch, axis=1, keepdims=True)
-            psis[1 + n * spp : 1 + (n + 1) * spp] = batch
-            psi = batch[-1]
-    if not np.all(np.isfinite(psis)):
-        raise ValueError("zero statevector has no Bloch representation")
-    theta, phi = _angles(psis)
-
-    times = np.concatenate([[0.0], (np.arange(n_periods)[:, None] + offsets).ravel()])
+    samples = _Samples(psi0, params, n_periods, substeps_per_segment)
+    theta, phi = _angles(samples.states(0, samples.n))
     return Trajectory(
-        times=times,
+        times=samples.times(np.arange(samples.n)),
         theta=theta,
         phi=phi,
-        segment_tags=[SegmentKind.UNITARY] + tags * n_periods,
-        samples_per_period=spp,
+        segment_tags=samples.tags[:1] + samples.tags[1:] * n_periods,
+        samples_per_period=len(samples.maps),
         n_periods=n_periods,
     )
 

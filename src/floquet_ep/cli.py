@@ -1,12 +1,14 @@
 """Command-line run layer: one runner per command, and :func:`run`.  The
 numpy-free front end :mod:`floquet_ep.args` imports it after parsing; it
-re-exports that module's :class:`UsageError`, :func:`parse_config` and :func:`main`.  Each runner loads its kernel."""
+re-exports that module's :class:`UsageError`, :func:`parse_config` and :func:`main`.  Each runner loads its kernel.
+``phase-diagram`` and ``bloch-traj`` stream: their columns are row sources, computed while the writer asks for blocks."""
 
 from __future__ import annotations
 
 import math
 import os
 import sys
+from functools import partial
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 # The kernels are elementwise or 2x2/4x4 stacks, below OpenBLAS's threading threshold: its pool
@@ -23,7 +25,7 @@ __all__ = ["UsageError", "parse_config", "run", "main"]
 
 
 class _Rows:
-    """A float64 column of ``n`` rows, computed by ``rows(flat row indices)`` as asked (1024 at a time when iterated)."""
+    """A column of ``n`` rows, computed by ``rows(flat row indices)`` as asked (1024 at a time when iterated)."""
 
     def __init__(self, n: int, rows):
         self.n, self.rows = n, rows
@@ -89,7 +91,9 @@ def _run_floquet_ham(cfg: RunConfig) -> list[Column]:
 
 
 def _run_bloch_traj(cfg: RunConfig) -> list[Column]:
-    from .bloch import equal_superposition_xyz, evolve_state
+    """Seven row sources over one :class:`~floquet_ep.bloch._Samples`: the rows are computed while they
+    are written, and the angle and coordinate columns of a block share one pass."""
+    from .bloch import _Samples, equal_superposition_xyz
     from .floquet import FloquetParams
     p = cfg.parameters
     params = FloquetParams.from_dimensionless(p["gamma_ratio"], p["omega_ratio"], p["p"], p["j_av"])
@@ -99,19 +103,11 @@ def _run_bloch_traj(cfg: RunConfig) -> list[Column]:
         theta, phi = p["init"]
         phase = complex(math.cos(phi), math.sin(phi))
         psi0 = np.array([math.cos(theta / 2), phase * math.sin(theta / 2)], dtype=complex)
-    traj = evolve_state(psi0, params, n_periods=p["periods"], substeps_per_segment=p["substeps"])
-    xs, ys, zs = traj.cartesian.T
-    segment = [tag.value for tag in traj.segment_tags[1 : 1 + traj.samples_per_period]] * traj.n_periods
-    segment.insert(0, traj.segment_tags[0].value)
-    return [
-        Column("time", "T", traj.times),
-        Column("theta", "rad", traj.theta),
-        Column("phi", "rad", traj.phi),
-        Column("x", "dimensionless", xs),
-        Column("y", "dimensionless", ys),
-        Column("z", "dimensionless", zs),
-        Column("segment", "tag", segment),
-    ]
+    s = _Samples(psi0, params, p["periods"], p["substeps"])
+    names = (("theta", "rad"), ("phi", "rad"), ("x", "dimensionless"), ("y", "dimensionless"), ("z", "dimensionless"))
+    return [Column("time", "T", _Rows(s.n, s.times)),
+            *(Column(name, unit, _Rows(s.n, partial(s.bloch, k))) for k, (name, unit) in enumerate(names)),
+            Column("segment", "tag", _Rows(s.n, s.segments))]
 
 
 def _run_two_qubit(cfg: RunConfig) -> list[Column]:

@@ -1,14 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from floquet_ep.bloch import (
     BlochState,
     SegmentKind,
     _period_samples,
+    _Samples,
     equal_superposition_xyz,
     evolve_state,
     steady_state_bloch,
@@ -154,6 +156,17 @@ class TestEvolveState:
         assert np.all(np.isfinite(traj.theta)) and np.all(np.isfinite(traj.phi))
         assert np.all((traj.theta >= 0) & (traj.theta <= math.pi))
 
+    @pytest.mark.parametrize("sub", [1, 3, 64])
+    def test_samples_give_any_span_bit_for_bit(self, sub):
+        # in order a span continues the recurrence from the period it holds; out of order it restarts
+        samples = _Samples(equal_superposition_xyz(), BROKEN, 9, sub)
+        whole = samples.states(0, samples.n)
+        spp, n = 2 * sub, samples.n
+        spans = [(0, 1), (0, 2), (1, spp + 1), (spp, spp + 2), (spp + 1, 3 * spp), (2, 2), (n - 1, n), (0, n),
+                 (3, 4 * spp + 2), (4 * spp + 1, n), (n - spp - 1, n - 1)]
+        for a, b in spans + sorted(spans, reverse=True):
+            assert samples.states(a, b).tobytes() == whole[a:b].tobytes(), (a, b)
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             evolve_state(np.array([1.0, 1.0]), SYMMETRIC, 1)  # not normalized
@@ -241,3 +254,46 @@ class TestSteadyState:
             assert state is not None
             assert np.all(np.isfinite(state.cartesian))
             assert state.cartesian[2] == pytest.approx(sign, abs=1e-12)
+
+
+#: any double, with the extremes drawn often
+_ANY = st.one_of(st.floats(), st.sampled_from([0.0, 5e-324, -5e-324, 1e-310, 1e154, 1e308, 1.7e308, -1.7e308, 0.5, 1.0]))
+
+
+def _call_public(name, v):
+    """The states one public function of ``bloch`` gives for the drawn doubles ``v`` (six of them)."""
+    if name == "from_statevector":
+        return [BlochState.from_statevector([complex(v[0], v[1]), complex(v[2], v[3])])], v[:4]
+    if name == "from_cartesian":
+        return [BlochState.from_cartesian(v[:3])], v[:3]
+    p = min(abs(v[4]), 1.0) if not math.isnan(v[4]) else 0.5
+    params = FloquetParams(p=p, T=v[1], j_av=v[2], gamma_av=v[3])
+    if name == "steady_state_bloch":
+        return [s for s in [steady_state_bloch(params)] if s is not None], []
+    psi0 = equal_superposition_xyz() if name == "evolve_state_xyz" else np.array([v[0], v[5]])
+    traj = evolve_state(psi0, params, n_periods=2, substeps_per_segment=3)
+    assert np.all(np.isfinite(traj.times)) and np.all(np.isfinite(traj.cartesian))
+    return traj.states + stroboscopic_slice(traj), []
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(["from_statevector", "from_cartesian", "evolve_state", "evolve_state_xyz",
+                             "steady_state_bloch"]), v=st.lists(_ANY, min_size=6, max_size=6))
+@example(name="from_statevector", v=[1e308, 0.0, 1e308, 0.0, 0.0, 0.0])  # its norm overflowed
+@example(name="from_statevector", v=[math.nan, 0.0, 0.0, 0.0, 0.0, 0.0])  # nan / nan
+@example(name="from_statevector", v=[5e-324, 0.0, 0.0, 5e-324, 0.0, 0.0])  # dividing by a subnormal norm overflows
+@example(name="evolve_state", v=[1e308, 2.0, 1.0, 0.5, 0.5, 1e308])  # its norm check overflowed
+@example(name="from_cartesian", v=[math.nan, 0.0, 0.0, 0.0, 0.0, 0.0])  # gave phi = nan
+@example(name="from_cartesian", v=[math.inf, 0.0, 1.0, 0.0, 0.0, 0.0])  # was accepted
+def test_public_functions_end_finite_or_raise(name, v):
+    """Each public function of ``bloch`` gives finite states on the sphere or raises ValueError or
+    ArithmeticError, without a RuntimeWarning (an error here); a non-finite input it reads raises."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            states, read = _call_public(name, v)
+        except (ValueError, ArithmeticError):
+            return
+    assert all(map(math.isfinite, read))
+    for s in states:
+        assert 0.0 <= s.theta <= math.pi and -math.pi <= s.phi < math.pi

@@ -4,6 +4,7 @@ byte-identical to theirs."""
 
 import dataclasses
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from floquet_ep.bloch import equal_superposition_xyz, evolve_state
 from floquet_ep.cli import parse_config, run
+from floquet_ep.floquet import FloquetParams
 from floquet_ep.presets import PRESET_NAMES, figure_preset
 from floquet_ep.sweep import AxisSpec, GridSpec, Quantity, compute_heatmap
 from floquet_ep.envelope import (
@@ -282,9 +285,9 @@ def test_phase_map_write_peak_memory(tmp_path):
 
 
 def test_trajectory_write_peak_memory(tmp_path):
-    """fig2b holds a table of distinct values for each of its five repeating
-    angle and coordinate columns while it is written: the traced peak stays
-    below 6 MB (2.4 MB before the tables, 4.3 MB with them)."""
+    """fig2b streams from the period recurrence to the file, holding a table of distinct values for
+    each of its five repeating angle and coordinate columns: the traced peak stays below 2.5 MB (about
+    1.7 MB; 3.0 MB when the whole trajectory was held)."""
     argv = ["bloch-traj", "--gamma-ratio", "1.25", "--periods", "200", "--output", str(tmp_path / "traj.csv")]
     tracemalloc.start()
     try:
@@ -292,7 +295,60 @@ def test_trajectory_write_peak_memory(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 6e6
+    assert peak < 2.5e6
+
+
+def test_trajectory_write_peak_does_not_grow_with_periods(tmp_path):
+    """3,201 and 32,001 rows (200 and 2000 periods of 16 samples) peak within 0.1 MB of each other:
+    nothing held grows with the periods.  Holding the whole trajectory took about 88 B per row, 2.8
+    against 1.0 MB here."""
+    peaks = []
+    for periods in (200, 2000):
+        argv = ["bloch-traj", "--gamma-ratio", "1.25", "--periods", str(periods), "--substeps", "8",
+                "--output", str(tmp_path / "traj.csv")]
+        tracemalloc.start()
+        try:
+            write_result(run(parse_config(argv)))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 0.1e6
+
+
+@st.composite
+def _trajectory_argv(draw):
+    """A ``bloch-traj`` argv of one period, or of a row count ``1 + 2 * substeps * periods`` just below
+    or above a multiple of the block size, so that blocks split periods."""
+    substeps, k = draw(st.sampled_from([1, 3, 64])), draw(st.integers(0, 2))
+    periods = max(1, (k * _BLOCK_ROWS - 1) // (2 * substeps) + draw(st.integers(0, 1))) if k else 1
+    init = draw(st.one_of(st.just("xyz"), st.builds("{!r},{!r}".format, st.floats(0.0, math.pi), st.floats(-4.0, 4.0))))
+    return ["bloch-traj", "--periods", str(periods), "--substeps", str(substeps), "--init", init,
+            "--gamma-ratio", repr(draw(st.floats(0.0, 3.0))), "--omega-ratio", repr(draw(st.floats(0.5, 10.0)))]
+
+
+@settings(max_examples=25, deadline=None)
+@given(argv=_trajectory_argv(), fmt=st.sampled_from(["csv", "json"]))
+@example(argv=["bloch-traj", "--periods", "1", "--substeps", "1", "--init", "xyz"], fmt="json")
+@example(argv=["bloch-traj", "--periods", "511", "--substeps", "1", "--init", "1.0,2.0"], fmt="csv")
+@example(argv=["bloch-traj", "--periods", "512", "--substeps", "1", "--init", "xyz"], fmt="json")
+@example(argv=["bloch-traj", "--periods", "171", "--substeps", "3", "--init", "3.0,-1.0"], fmt="csv")
+@example(argv=["bloch-traj", "--periods", "16", "--substeps", "64", "--init", "xyz"], fmt="json")
+def test_streamed_trajectory_equals_the_whole_array_render(argv, fmt):
+    """The row-source columns write the bytes of the whole trajectory: ``evolve_state``'s arrays and
+    tags, rendered row by row; read in order and by index, they are the same values."""
+    env = run(parse_config(argv + ["--format", fmt]))
+    p = env.config.parameters
+    psi0 = equal_superposition_xyz() if p["init"] == "xyz" else np.array(
+        [math.cos(p["init"][0] / 2), complex(math.cos(p["init"][1]), math.sin(p["init"][1])) * math.sin(p["init"][0] / 2)])
+    traj = evolve_state(psi0, FloquetParams.from_dimensionless(p["gamma_ratio"], p["omega_ratio"], p["p"], p["j_av"]),
+                        p["periods"], p["substeps"])
+    xs, ys, zs = traj.cartesian.T
+    arrays = [traj.times, traj.theta, traj.phi, xs, ys, zs, [tag.value for tag in traj.segment_tags]]
+    whole = ResultEnvelope(env.config, [Column(c.name, c.unit, v) for c, v in zip(env.columns, arrays)], env.provenance)
+    render, oracle = (render_csv, oracle_csv) if fmt == "csv" else (render_json, oracle_json)
+    assert render(env) == oracle(whole)
+    assert [list(c.values) for c in env.columns] == [list(c.values) for c in whole.columns]
+    assert [c.values[len(xs) - 1] for c in env.columns] == [v[-1] for v in arrays]
 
 
 def test_large_phase_map_write_peak_memory(tmp_path):
