@@ -19,13 +19,13 @@ if "numpy" not in sys.modules and not any(v in os.environ for v in _BLAS_THREAD_
 import numpy as np
 
 from .args import UsageError, main, parse_config
-from .envelope import Column, RunConfig, make_envelope
+from .envelope import _BLOCK_ROWS, Column, RunConfig, make_envelope
 
 __all__ = ["UsageError", "parse_config", "run", "main"]
 
 
 class _Rows:
-    """A column of ``n`` rows, computed by ``rows(flat row indices)`` as asked (1024 at a time when iterated)."""
+    """A column of ``n`` rows, computed by ``rows(flat row indices)`` as asked (a writer block at a time when iterated)."""
 
     def __init__(self, n: int, rows):
         self.n, self.rows = n, rows
@@ -38,8 +38,8 @@ class _Rows:
         return self.rows(np.arange(i.start, i.stop, i.step)) if isinstance(k, slice) else self.rows(np.array([i]))[0]
 
     def __iter__(self):
-        for i in range(0, self.n, 1024):
-            yield from self[i : i + 1024].tolist()
+        for i in range(0, self.n, _BLOCK_ROWS):
+            yield from self[i : i + _BLOCK_ROWS].tolist()
 
 
 def _run_phase_diagram(cfg: RunConfig) -> list[Column]:

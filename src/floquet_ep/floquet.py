@@ -375,15 +375,20 @@ def eigenvector_overlap(params: FloquetParams) -> float:
     return float(_eigenvector_overlap(params.drive_area, params.gain_area))
 
 
-def _contour_gamma(drive_area, beta, branch: int):
+def _contour_gamma(p, j_av, omega, drive_area, beta, branch: int):
     """Gain rate solving ``cos(drive_area) cosh(beta gamma) = branch``, nan where no contour
-    passes; ``branch / cos`` within 1e-12 below 1 is roundoff at a resonance and counts as 1."""
+    passes; ``branch / cos`` within 1e-12 below 1 is roundoff at a resonance and counts as 1.
+    ValueError naming p, j_av and the first frequency omega where the gain overflows."""
     if not np.all(beta > 0):
         raise ValueError("thermal segment has zero duration; no contour exists")
     c = np.cos(drive_area)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         ratio = np.where(c == 0.0, 0.0, branch / c)
-        return np.arccosh(np.where((1.0 - 1e-12 <= ratio) & (ratio < 1.0), 1.0, ratio)) / beta
+        gamma = np.arccosh(np.where((1.0 - 1e-12 <= ratio) & (ratio < 1.0), 1.0, ratio)) / beta
+    inf_at = np.broadcast_to(omega, np.shape(gamma))[np.isinf(gamma)]  # the frequencies where the gain overflows
+    if inf_at.size:
+        raise ValueError(f"the contour gain overflows at p {p}, j_av {j_av}, omega {inf_at[0]:g}")
+    return gamma
 
 
 def ep_contour_gamma(params: FloquetParams, branch: int) -> float | None:
@@ -396,7 +401,7 @@ def ep_contour_gamma(params: FloquetParams, branch: int) -> float | None:
     """
     if branch not in (1, -1):
         raise ValueError(f"branch must be +1 or -1, got {branch}")
-    gamma = float(_contour_gamma(params.drive_area, params.beta, branch))
+    gamma = float(_contour_gamma(params.p, params.j_av, params.omega, params.drive_area, params.beta, branch))
     return None if math.isnan(gamma) else gamma
 
 

@@ -155,7 +155,7 @@ def trace_contours(p: float, j_av: float, omega_range: tuple[float, float], n_sa
     intervals = np.floor(2 * (p * j_av / omegas))  # = floor(2 p j_av / omega), finite with drive_area
     branches = []
     for branch in (1, -1):
-        gammas = _contour_gamma(drive_area, (1 - p) * T, branch)
+        gammas = _contour_gamma(p, j_av, omegas, drive_area, (1 - p) * T, branch)
         found = np.flatnonzero(~np.isnan(gammas))
         for run in np.split(found, np.flatnonzero(np.diff(intervals[found])) + 1):  # monotone: one run per interval
             if run.size:
@@ -185,7 +185,10 @@ def resonance_frequencies(p: float, j_av: float, k_max: int) -> list[ResonanceIn
         raise ValueError("k_max must be >= 1")
     _check_rates(p, j_av)
     pj = p * j_av
-    out = [ResonanceInfo(k=0, omega_resonance=None, omega_node=2 * pj / 0.5)]
+    node = 2 * pj / 0.5  # the other frequencies are at most 2 p j_av, which _check_rates keeps finite
+    if np.isinf(node):
+        raise ValueError(f"the node frequency 4 p j_av overflows at p {p}, j_av {j_av}")
+    out = [ResonanceInfo(k=0, omega_resonance=None, omega_node=node)]
     for k in range(1, k_max + 1):
         out.append(ResonanceInfo(k=k, omega_resonance=2 * pj / k, omega_node=2 * pj / (k + 0.5)))
     return out

@@ -71,8 +71,11 @@ class TwoQubitParams:
     @property
     def delta(self) -> complex:
         """Principal root of kx^2 - gamma^2: real in the PT-symmetric phase,
-        imaginary in the broken phase, zero at the exceptional point."""
-        return cmath.sqrt(complex(self.kx * self.kx - self.gamma * self.gamma))
+        imaginary in the broken phase, zero at the exceptional point.  ValueError where kx^2 - gamma^2 overflows."""
+        d2 = self.kx * self.kx - self.gamma * self.gamma
+        if not math.isfinite(d2):
+            raise ValueError(f"kx^2 - gamma^2 overflows doubles at {self}")
+        return cmath.sqrt(complex(d2))
 
     def phase(self) -> PhaseKind:
         scale = max(self.kx, self.gamma, 1.0)
@@ -128,8 +131,8 @@ def _pair_terms(params: TwoQubitParams, ts: np.ndarray) -> tuple[np.ndarray, np.
     else:
         f0, cz = np.where(small, series, ts * np.sin(zs) / zs), np.cos(z)
     gf, kf = params.gamma * f0, params.kx * f0
-    for name, value in (("kx^2 - gamma^2", params.delta), ("Re(delta) * t", params.delta.real * ts),
-                        ("gamma * f0", gf), ("kx * f0", kf)):  # Re(delta) only: the broken phase's growth is scaled out
+    for name, value in (("Re(delta) * t", params.delta.real * ts), ("gamma * f0", gf),
+                        ("kx * f0", kf)):  # Re(delta) only: the broken phase's growth is scaled out
         if not np.all(np.isfinite(value)):
             raise ValueError(f"{name} overflows doubles at {params} and t up to {ts.max():g}")
     return cz + gf, cz - gf, kf
@@ -178,10 +181,11 @@ def validate_density(rho) -> np.ndarray:
         raise ValueError(f"density matrix must be 2x2 or 4x4, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("density matrix has a non-finite entry")
-    if np.abs(a - a.conj().T).max() > 1e-11:
-        raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(a).real - 1.0) > 1e-11 or abs(np.trace(a).imag) > 1e-11:
-        raise ValueError("density matrix trace is not 1")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing difference or trace fails its check
+        if not np.abs(a - a.conj().T).max() <= 1e-11:
+            raise ValueError("density matrix is not Hermitian")
+        if not (abs(np.trace(a).real - 1.0) <= 1e-11 and abs(np.trace(a).imag) <= 1e-11):
+            raise ValueError("density matrix trace is not 1")
     if np.linalg.eigvalsh(a).min() < -1e-10:
         raise ValueError("density matrix has a significantly negative eigenvalue")
     return a

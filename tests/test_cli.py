@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from floquet_ep.args import _CHOICES, _DEFAULTS, _PAIR_INITS, _RUN_KEYS, build_parser
+from floquet_ep.args import _COMMANDS, _DEFAULTS, _RUN_KEYS, build_parser
 from floquet_ep.cli import UsageError, main, parse_config, run
 from floquet_ep.envelope import (
     FORMATS,
@@ -34,6 +34,11 @@ from floquet_ep.two_qubit import _DENSITY_LABELS
 #: Keys of each command's flags (``--config`` aside), in ``--help`` order.
 _FLAG_KEYS = {
     c: [k for k in vars(build_parser().parse_args([c])) if k not in ("command", "config")] for c in _DEFAULTS
+}
+#: command -> {key: its choices}, run keys included
+_CHOICES = {
+    c: {k: rule for k, (_, _, rule) in {**keys, **_RUN_KEYS}.items() if isinstance(rule, tuple) and isinstance(rule[0], str)}
+    for c, (_, keys) in _COMMANDS.items()
 }
 
 
@@ -179,9 +184,8 @@ class TestParseConfig:
         text = capsys.readouterr().out
         for key in _FLAG_KEYS[command]:
             assert "--" + key.replace("_", "-") in text
-        for key, options in _CHOICES.items():
-            if key in _FLAG_KEYS[command]:
-                assert "{%s}" % ",".join(options) in text
+        for key, options in _CHOICES[command].items():
+            assert "{%s}" % ",".join(options) in text
 
     @pytest.mark.parametrize("command", sorted(_DEFAULTS))
     def test_help_prints_each_default(self, command, capsys):
@@ -194,11 +198,75 @@ class TestParseConfig:
             assert help_of["--" + key.replace("_", "-")].endswith(f"(default {shown})")
 
 
+def _ruled_flags():
+    """(argv prefix, key, default, rule) for every ruled flag of every command and of ``preset``."""
+    for prefix in [*([c] for c in _COMMANDS), ["preset", "fig1b"]]:
+        flags = vars(build_parser().parse_args(prefix))
+        table = {**(_COMMANDS[prefix[0]][1] if prefix[0] in _COMMANDS else {}), **_RUN_KEYS}
+        yield from ((prefix, k, d, rule) for k, (d, _, rule) in table.items() if rule is not None and k in flags)
+
+
+_RULED = list(_ruled_flags())
+
+
+def _edge_values(prefix, key, default, rule):
+    """Texts for ``key`` that its rule just allows and just refuses (every choice is allowed)."""
+    if isinstance(rule, tuple) and isinstance(rule[0], str):
+        return list(rule), [rule[0] + "x"]
+    if not isinstance(rule, str):
+        lo, hi = rule
+        return [repr(math.nextafter(lo, hi)), repr(math.nextafter(hi, lo))], [repr(float(lo)), repr(float(hi))]
+    op, bound = rule.split()
+    bound = _DEFAULTS[prefix[0]][bound] if bound in _DEFAULTS.get(prefix[0], {}) else float(bound)
+    if key == "grid" or default is int or type(default) is int:  # the grid's counts or another integer
+        lo = int(bound) + (op == ">")
+        if key == "grid":
+            return [f"{lo}x{lo}"], [f"{lo}x{lo - 1}", f"{lo - 1}x{lo}"]
+        return [str(lo)], [str(lo - 1)]
+    lo = math.nextafter(bound, math.inf) if op == ">" else bound
+    return [repr(lo)], [repr(math.nextafter(lo, -math.inf))]
+
+
+@pytest.mark.parametrize("prefix,key,default,rule", _RULED, ids=[f"{a[0]}-{k}" for a, k, _, _ in _RULED])
+def test_the_table_rules_the_checks_and_the_help(prefix, key, default, rule, capsys):
+    """Each rule of the parameter table is what the checks apply and what ``--help`` states: the edge
+    it allows and every choice parse, a value just outside is a usage error naming the key."""
+    flag = "--" + key.replace("_", "-")
+    allowed, refused = _edge_values(prefix, key, default, rule)
+    for text in allowed:
+        parse_config([*prefix, f"{flag}={text}"])
+    for text in refused:
+        with pytest.raises(UsageError, match=f"^invalid value for {key}: "):
+            parse_config([*prefix, f"{flag}={text}"])
+    if isinstance(default, list):  # each value of a list key obeys the rule
+        with pytest.raises(UsageError, match=f"^invalid value for {key}: "):
+            parse_config([*prefix, f"{flag}={allowed[0]}", f"{flag}={refused[0]}"])
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([prefix[0], "--help"])
+    entries = re.split(r"\n  (?=--)", capsys.readouterr().out)[1:]
+    entry = next(" ".join(e.split()) for e in entries if e.split()[0] == flag)
+    if isinstance(rule, str) or not isinstance(rule[0], str):
+        assert "must be " + (rule if isinstance(rule, str) else f"in {rule}") in entry
+    else:
+        assert entry.startswith(f"{flag} {{{','.join(rule)}}}")
+
+
+def test_usage_error_names_the_key_the_value_and_the_rule(capsys):
+    assert main(["bloch-traj", "--periods", "0"]) == 2
+    assert capsys.readouterr().err == "error: invalid value for periods: 0 (must be >= 1)\n"
+    assert main(["two-qubit", "--j=-1", "--gamma", "1", "--gamma=-2"]) == 2
+    assert capsys.readouterr().err == (
+        "error: invalid value for j: -1.0 (must be >= 0); gamma: -2.0 (must be >= 0)\n"
+    )
+    assert main(["phase-diagram", "--gamma-min", "5", "--gamma-max", "1"]) == 2
+    assert capsys.readouterr().err == "error: invalid value for gamma_max: 1.0 (must be > gamma_min = 5.0)\n"
+
+
 def test_literal_choices_match_their_sources():
     # the front end spells these out so that parsing loads no kernel module
-    assert _CHOICES["quantity"] == tuple(q.value for q in Quantity)
-    assert _CHOICES["format"] == FORMATS
-    assert _PAIR_INITS == tuple(_DENSITY_LABELS)
+    assert _CHOICES["phase-diagram"]["quantity"] == tuple(q.value for q in Quantity)
+    assert all(choices["format"] == FORMATS for choices in _CHOICES.values())
+    assert _CHOICES["two-qubit"]["init"] == tuple(_DENSITY_LABELS)
 
 
 _PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -639,7 +707,7 @@ def _extreme_argv(draw):
     keys = draw(st.lists(st.sampled_from(_FLOAT_FLAGS[command]), min_size=1, max_size=3, unique=True))
     argv = [command, *_SMALL[command], *(f"--{k.replace('_', '-')}={draw(_EXTREMES)!r}" for k in keys)]
     if command == "phase-diagram":
-        argv += ["--quantity", draw(st.sampled_from(_CHOICES["quantity"]))]
+        argv += ["--quantity", draw(st.sampled_from(_CHOICES["phase-diagram"]["quantity"]))]
     return argv
 
 
@@ -651,6 +719,8 @@ def _extreme_argv(draw):
 @example(argv=["ep-contour", "--samples", "3", "--omega-min", "5e-324"])
 @example(argv=["ep-contour", "--samples", "3", "--p", "5e-324", "--omega-max", "3.14159"])
 @example(argv=["ep-contour", "--samples", "3", "--j-av", "1e+154"])  # an interval index beyond int64
+@example(argv=["ep-contour", "--samples", "5", "--p", "0.75", "--j-av", "1.7e308", "--omega-min", "1e200",
+               "--omega-max", "1.7e308"])  # a contour gain overflowed with a warning
 @example(argv=["phase-diagram", "--grid", "3x3", "--gamma-min", "5e-324", "--j-av", "2"])
 @example(argv=["phase-diagram", "--grid", "3x3", "--j-av", "1e300", "--omega-min", "2", "--omega-max", "1e300"])
 @example(argv=["phase-diagram", "--grid", "3x3", "--omega-min", "1e-310", "--omega-max", "1"])  # fails at the extremes,

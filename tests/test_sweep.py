@@ -1,8 +1,11 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from floquet_ep.floquet import (
     FloquetParams,
@@ -22,6 +25,21 @@ from floquet_ep.sweep import (
     compute_heatmap,
     resonance_frequencies,
     trace_contours,
+)
+from floquet_ep.two_qubit import (
+    Qubit,
+    TwoQubitParams,
+    concurrence,
+    concurrence_closed_form_00,
+    density_from_label,
+    entanglement_timeseries,
+    entropy,
+    evolve_density,
+    hamiltonian_two_qubit,
+    propagator_analytic,
+    reduced_density,
+    steady_state_concurrence,
+    validate_density,
 )
 
 
@@ -334,3 +352,75 @@ class TestResonances:
         # the log's argument overflows, underflows to 0 or is nan
         with pytest.raises(ValueError, match=re.escape(f"no finite asymptote at k 0, p 0.5, j_av {j_av}, delta_omega_prime")):
             ep_node_asymptote(0, 0.5, j_av, delta_omega_prime)
+
+
+#: any double, with the extremes drawn often
+_ANY = st.one_of(st.floats(), st.sampled_from([0.0, 5e-324, -5e-324, 1e-310, 1e154, 1e308, 1.7e308, -1.7e308, 0.5, 1.0]))
+
+
+def _pair_numbers(name, v):
+    """The numbers one public function of ``two_qubit`` gives for the drawn doubles ``v``."""
+    if name in ("validate_density", "entropy", "concurrence", "reduced_density"):
+        rho = np.diag(np.array(v[:4], dtype=complex))
+        fn = {"validate_density": validate_density, "entropy": entropy, "concurrence": concurrence,
+              "reduced_density": lambda r: reduced_density(r, Qubit.THERMAL)}[name]
+        return np.ravel(fn(rho))
+    params = TwoQubitParams(j=v[0], gamma=v[1], kx=v[2])
+    if name == "params":
+        return [params.delta, *np.ravel(hamiltonian_two_qubit(params)), steady_state_concurrence(params) or 0.0]
+    if name == "propagator_analytic":
+        return np.ravel(propagator_analytic(params, v[3]))
+    if name == "concurrence_closed_form_00":
+        return [concurrence_closed_form_00(params, v[3])]
+    rho0 = density_from_label(("00", "bell", "mixed", "correlated")[int(abs(v[4]) % 4) if math.isfinite(v[4]) else 0])
+    if name == "evolve_density":
+        return np.ravel(evolve_density(rho0, params, v[3]))
+    records = entanglement_timeseries(rho0, params, [0.0, v[3]])
+    return [x for r in records for x in (r.time, r.concurrence, r.entropy_unitary, r.entropy_thermal)]
+
+
+def _call_public(name, v):
+    """The numbers one public function of ``two_qubit`` or ``sweep`` gives for the drawn doubles ``v``:
+    (those that must be finite, those that may saturate to +inf)."""
+    p = min(abs(v[4]), 1.0) if not math.isnan(v[4]) else 0.5
+    if name == "resonance_frequencies":
+        return [x for r in resonance_frequencies(p, v[5], 2) for x in (r.omega_resonance or 0.0, r.omega_node)], []
+    if name == "trace_contours":
+        return [x for b in trace_contours(p, v[5], (v[0], v[1]), 3).branches for x in b.points.ravel()], []
+    if not name.startswith("heatmap:"):
+        return _pair_numbers(name, v), []
+    grid = GridSpec(AxisSpec(v[0], v[1], 3, "log" if v[2] > 0 else "linear"), AxisSpec(v[2], v[3], 3), p, v[5])
+    quantity = Quantity(name.split(":")[1])
+    values = compute_heatmap(grid, quantity).values.ravel()
+    return ([], values) if quantity is Quantity.DISCRIMINANT else (values, [])
+
+
+@settings(max_examples=400, deadline=None)
+@given(name=st.sampled_from(["validate_density", "entropy", "concurrence", "reduced_density", "params",
+                             "propagator_analytic", "concurrence_closed_form_00", "evolve_density",
+                             "entanglement_timeseries", "resonance_frequencies", "trace_contours",
+                             "heatmap:inner-product", "heatmap:discriminant", "heatmap:phase"]),
+       v=st.lists(_ANY, min_size=6, max_size=6))
+@example(name="resonance_frequencies", v=[0.0, 0.0, 0.0, 0.0, 0.5, 1.7e308])  # the k = 0 node overflowed to inf
+@example(name="trace_contours", v=[1e200, 1.7e308, 0.0, 0.0, 0.75, 1.7e308])  # a contour gain overflowed to inf
+@example(name="validate_density", v=[0.0, 0.0, 1e308, 1e308, 0.0, 0.0])  # its trace overflowed with a warning
+@example(name="params", v=[0.0, 1e200, 1e200, 0.0, 0.0, 0.0])  # delta was nan: inf - inf
+def test_pair_and_sweep_functions_end_finite_or_raise(name, v):
+    """Each public function of ``two_qubit`` and ``sweep`` gives finite numbers (a discriminant
+    may saturate to +inf) or raises ValueError or ArithmeticError, without a RuntimeWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            finite, saturating = _call_public(name, v)
+        except (ValueError, ArithmeticError):
+            return
+    assert all(math.isfinite(abs(x)) for x in finite), name
+    assert all(math.isfinite(x) or x == math.inf for x in saturating), name
+
+
+def test_contour_gain_overflow_names_the_inputs():
+    # (1 - p) T is subnormal at omega = 1.7e308: the gain arccosh(...) / ((1 - p) T) overflows
+    with pytest.raises(ValueError, match=re.escape("contour gain overflows at p 0.75, j_av 1.7e+308, omega 1.7e+308")):
+        ep_contour_gamma(FloquetParams.from_omega(0.75, 1.7e308, 1.7e308, 0.0), -1)
+    with pytest.raises(ValueError, match="contour gain overflows at p 0.75, j_av 1.7e[+]308, omega"):
+        trace_contours(0.75, 1.7e308, (1e200, 1.7e308), 5)
