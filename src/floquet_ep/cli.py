@@ -111,14 +111,14 @@ def _run_bloch_traj(cfg: RunConfig) -> list[Column]:
 
 
 def _run_two_qubit(cfg: RunConfig) -> list[Column]:
-    from .two_qubit import TwoQubitParams, _timeseries, density_from_label
+    from .two_qubit import _START_FACTORS, TwoQubitParams, _timeseries
     p = cfg.parameters
-    rho0 = density_from_label(p["init"])
+    phi = _START_FACTORS[p["init"]]()
     t_grid = np.linspace(0.0, p["t_max"], p["steps"] + 1)
     combos = [(g, k) for g in p["gamma"] for k in p["kx"]]
     columns = []
     for gamma, kx in combos:  # j t is the same for every rate pair; it is finite once a kernel succeeds
-        jt, c, s_u, s_t = _timeseries(rho0, TwoQubitParams(j=p["j"], gamma=gamma, kx=kx), t_grid)
+        jt, c, s_u, s_t = _timeseries(phi, TwoQubitParams(j=p["j"], gamma=gamma, kx=kx), t_grid)
         suffix = "" if len(combos) == 1 else f"_g{gamma:g}_kx{kx:g}"
         columns += [Column(f"concurrence{suffix}", "dimensionless", c),
                     Column(f"entropy_unitary{suffix}", "bit", s_u),

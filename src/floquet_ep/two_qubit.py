@@ -8,13 +8,13 @@ second-order exceptional point at gamma = kx.
 
 Post-selection keeps the evolved state normalized at every time, in both PT
 phases.  All evolution goes through the closed-form non-unitary propagator G,
-for a whole time grid in batched array passes, applied to a factor of the
-state: one ``eigh`` of the initial state gives ``rho0 = Phi Phi^dagger``
-(rank 1 for pure starts, 4 for mixed ones), and ``psi = G Phi / |G Phi|``
-is the post-selected state ``psi psi^dagger``.  The concurrence is Wootters'
-[PRL 80, 2245 (1998)] in Uhlmann's form [PRA 62, 032307 (2000)], from the
-singular values of ``tau = psi^T (sy(x)sy) psi``: no evolved state is
-diagonalized for it.
+for a whole time grid in batched array passes, applied to a factor Phi of
+``rho0 = Phi Phi^dagger`` (a command-line start's exact one, else one ``eigh``):
+``psi = G Phi / |G Phi|`` is the post-selected state ``psi psi^dagger``.  The
+reduced entropies are closed forms in psi's 2x2 partial traces, and the
+concurrence is Wootters' [PRL 80, 2245 (1998)] in Uhlmann's form [PRA 62,
+032307 (2000)], from the singular values of ``tau = psi^T (sy(x)sy) psi``,
+which is one number at rank 1: a pure start's run calls no LAPACK routine.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, NumericsError, PhaseKind, kron
+from .linalg import IDENTITY_2, PAULI_X, PAULI_Z, NumericsError, PhaseKind, kron
 
 __all__ = [
     "TwoQubitParams",
@@ -49,7 +49,8 @@ __all__ = [
     "density_from_label",
 ]
 
-_YY = kron(PAULI_Y, PAULI_Y)
+#: sy(x)sy takes level k to level 3 - k with these signs
+_YY_SIGNS = np.array([[-1.0], [1.0], [1.0], [-1.0]])
 
 #: relative tolerance on |kx - gamma| for exceptional-point classification
 EP_REL_TOL = 1e-12
@@ -210,7 +211,7 @@ def _evolve(phi: np.ndarray, params: TwoQubitParams, ts: np.ndarray) -> np.ndarr
     g = _propagators(params, ts)
     v = g.view(np.float64)  # real and imaginary parts side by side
     g *= np.ldexp(1.0, -np.frexp(np.maximum(v.max(axis=(1, 2)), -v.min(axis=(1, 2))))[1])[:, None, None]
-    psi = g @ phi
+    psi = np.einsum("nij,jk->nik", g, phi)  # not matmul: a 4x4 stack needs no BLAS
     tr = (psi.real**2 + psi.imag**2).sum(axis=(1, 2))
     bad = ~((tr > 0) & np.isfinite(tr))
     if bad.any():
@@ -231,8 +232,10 @@ def evolve_density(rho0, params: TwoQubitParams, t: float) -> np.ndarray:
 
 
 def _concurrence(psi: np.ndarray) -> np.ndarray:
-    """Concurrence of ``psi psi^dagger`` for factors of shape (..., 4, r)."""
-    s = np.linalg.svd(psi.swapaxes(-1, -2) @ _YY @ psi, compute_uv=False)
+    """Concurrence of ``psi psi^dagger`` for factors of shape (..., 4, r); at rank 1, |tau| itself."""
+    if psi.shape[-1] == 1:  # tau = -2 (psi0 psi3 - psi1 psi2), its own singular value up to a phase
+        return np.abs(2 * (psi[..., 0, 0] * psi[..., 3, 0] - psi[..., 1, 0] * psi[..., 2, 0]))
+    s = np.linalg.svd(np.einsum("...ik,...il->...kl", psi, psi[..., ::-1, :] * _YY_SIGNS), compute_uv=False)
     diff = s[..., 0] - s[..., 1:].sum(axis=-1)
     return np.where(diff > 0, diff, 0.0)
 
@@ -281,8 +284,9 @@ def steady_state_concurrence(params: TwoQubitParams) -> float | None:
     return params.kx / params.gamma
 
 
-#: einsum partial traces onto one qubit of (..., 2, 2, 2, 2)-shaped states
+#: einsum partial traces onto one qubit of (..., 2, 2, 2, 2) states, and of psi psi^dagger from psi, conj(psi)
 _PARTIAL_TRACE = {Qubit.UNITARY: "...ijil->...jl", Qubit.THERMAL: "...ijkj->...ik"}
+_FACTOR_TRACE = {Qubit.UNITARY: "...ijk,...ilk->...jl", Qubit.THERMAL: "...ijk,...ljk->...il"}
 
 
 def reduced_density(rho, which: Qubit) -> np.ndarray:
@@ -293,28 +297,40 @@ def reduced_density(rho, which: Qubit) -> np.ndarray:
     return np.einsum(_PARTIAL_TRACE[which], a.reshape(2, 2, 2, 2))
 
 
-def _entropy(rhos: np.ndarray) -> np.ndarray:
-    w = np.clip(np.linalg.eigvalsh(rhos), 0.0, 1.0)
+def _entropy(w: np.ndarray) -> np.ndarray:
+    """``-sum p log2 p`` over the last axis of eigenvalues ``w`` clipped into [0, 1], with 0 log 0 = 0."""
+    w = np.clip(w, 0.0, 1.0)
     terms = np.where(w > 0.0, w * np.log2(np.where(w > 0.0, w, 1.0)), 0.0)
     return -terms.sum(axis=-1) + 0.0  # avoid -0.0
 
 
+def _qubit_spectra(rhos: np.ndarray) -> np.ndarray:
+    """Closed-form eigenvalues ``(lo, hi)`` of (..., 2, 2) states ``[[a, b], [b*, d]]``: ``hi = (a + d)/2 +
+    sqrt(((a - d)/2)^2 + |b|^2)`` and ``lo = (a d - |b|^2) / hi``, free of ``a + d - hi``'s cancellation."""
+    a, d, b = rhos[..., 0, 0].real, rhos[..., 1, 1].real, rhos[..., 0, 1]
+    bb = b.real**2 + b.imag**2
+    hi = (a + d) / 2 + np.sqrt(((a - d) / 2) ** 2 + bb)
+    return np.stack([(a * d - bb) / hi, hi], axis=-1)
+
+
 def entropy(rho) -> float:
     """Von Neumann entropy in bits, -sum p log2 p, with 0 log 0 = 0."""
-    return float(_entropy(validate_density(rho)))
+    return float(_entropy(np.linalg.eigvalsh(validate_density(rho))))
 
 
 #: times per array pass; bounds the (n, 4, 4) intermediates of long grids
 _TIME_CHUNK = 1024
 
 
-def _timeseries(rho0: np.ndarray, params: TwoQubitParams, ts: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``(j t, C, S_u, S_t)`` arrays over the times ``ts`` for a validated 4x4 ``rho0``."""
-    phi, chunks = _factor(rho0), []
+def _timeseries(phi: np.ndarray, params: TwoQubitParams, ts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(j t, C, S_u, S_t)`` arrays over the times ``ts`` for the start ``Phi Phi^dagger`` of a (4, r) factor
+    ``phi``; no 4x4 state is formed, and only the SVD of tau at rank > 1 calls LAPACK."""
+    chunks = []
     for lo in range(0, len(ts), _TIME_CHUNK):
         psi = _evolve(phi, params, ts[lo : lo + _TIME_CHUNK])
-        parts = (psi @ psi.conj().swapaxes(-1, -2)).reshape(-1, 2, 2, 2, 2)
-        chunks.append([_concurrence(psi), *(_entropy(np.einsum(_PARTIAL_TRACE[q], parts)) for q in Qubit)])
+        parts = psi.reshape(-1, 2, 2, psi.shape[-1])
+        chunks.append([_concurrence(psi),
+                       *(_entropy(_qubit_spectra(np.einsum(_FACTOR_TRACE[q], parts, parts.conj()))) for q in Qubit)])
     return (params.j * ts, *map(np.concatenate, zip(*chunks)))
 
 
@@ -330,21 +346,19 @@ def entanglement_timeseries(rho0, params: TwoQubitParams, t_grid) -> list[Entang
         raise ValueError("t_grid must be a non-empty 1-d sequence")
     if not (np.all(np.isfinite(ts)) and np.all(np.diff(ts) > 0)):
         raise ValueError("t_grid must be finite and strictly increasing")
-    cols = _timeseries(_pair_density(rho0), params, ts)
+    cols = _timeseries(_factor(_pair_density(rho0)), params, ts)
     return [EntanglementRecord(*row) for row in zip(*(c.tolist() for c in cols))]
 
 
 def ground_density() -> np.ndarray:
     """|00><00| -- both qubits in the amplified/north-pole level."""
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = 1.0
-    return rho
+    psi = _START_FACTORS["00"]()[:, 0]
+    return np.outer(psi, psi.conj())
 
 
 def bell_density() -> np.ndarray:
     """(|00> + |11>)/sqrt(2) as a density matrix."""
-    psi = np.zeros(4, dtype=complex)
-    psi[0] = psi[3] = 1 / math.sqrt(2)
+    psi = _START_FACTORS["bell"]()[:, 0]
     return np.outer(psi, psi.conj())
 
 
@@ -356,13 +370,12 @@ def correlated_diagonal_density() -> np.ndarray:
     """Classically correlated diagonal pair state used by the entropy
     presets: 0.25 I + 0.19 1(x)sz + 0.23 sz(x)1 + 0.19 sz(x)sz
     (diagonal weights 0.86, 0.10, 0.02, 0.02)."""
-    rho = (
+    return (
         0.25 * np.eye(4, dtype=complex)
         + 0.19 * kron(IDENTITY_2, PAULI_Z)
         + 0.23 * kron(PAULI_Z, IDENTITY_2)
         + 0.19 * kron(PAULI_Z, PAULI_Z)
     )
-    return validate_density(rho)
 
 
 _DENSITY_LABELS = {
@@ -371,6 +384,14 @@ _DENSITY_LABELS = {
     "mixed": maximally_mixed_density,
     "correlated": correlated_diagonal_density,
 }
+
+
+#: each start's exact factor Phi, rho0 = Phi Phi^dagger, without an eigensolver: a pure start's
+#: state vector, the root of a diagonal start's diagonal
+_START_FACTORS = {"00": lambda: np.eye(4, 1, dtype=complex),
+                  "bell": lambda: np.array([[1], [0], [0], [1]], dtype=complex) / math.sqrt(2),
+                  "mixed": lambda: np.eye(4, dtype=complex) / 2,
+                  "correlated": lambda: np.diag(np.sqrt(np.diag(correlated_diagonal_density())))}
 
 
 def density_from_label(label: str) -> np.ndarray:

@@ -7,18 +7,21 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from floquet_ep.cli import main
+from floquet_ep.cli import main, parse_config, run
 from floquet_ep.envelope import parse_csv
 from floquet_ep.floquet import PhaseKind
-from floquet_ep.linalg import IDENTITY_2, PAULI_X, PAULI_Z, eig, kron
+from floquet_ep.linalg import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, eig, kron
 from floquet_ep.two_qubit import (
+    _DENSITY_LABELS,
     _PARTIAL_TRACE,
-    _YY,
+    _START_FACTORS,
     EntanglementRecord,
     Qubit,
     TwoQubitParams,
     _entropy,
+    _factor,
     _propagators,
+    _qubit_spectra,
     _timeseries,
     bell_density,
     concurrence,
@@ -37,6 +40,7 @@ from floquet_ep.two_qubit import (
     validate_density,
 )
 
+_YY = kron(PAULI_Y, PAULI_Y)
 SYMMETRIC = TwoQubitParams(j=0.5, gamma=0.75, kx=1.0)
 AT_EP = TwoQubitParams(j=0.5, gamma=1.0, kx=1.0)
 BROKEN = TwoQubitParams(j=0.5, gamma=1.25, kx=1.0)
@@ -75,7 +79,7 @@ def spectral_timeseries(rho0, params, ts):
     c = np.linalg.svd(root @ _YY @ root.conj(), compute_uv=False)
     diff = c[..., 0] - c[..., 1] - c[..., 2] - c[..., 3]
     parts = rhos.reshape(-1, 2, 2, 2, 2)
-    s_u, s_t = (_entropy(np.einsum(_PARTIAL_TRACE[q], parts)) for q in (Qubit.UNITARY, Qubit.THERMAL))
+    s_u, s_t = (_entropy(np.linalg.eigvalsh(np.einsum(_PARTIAL_TRACE[q], parts))) for q in Qubit)
     return params.j * ts, np.where(diff > 0, diff, 0.0), s_u, s_t
 
 
@@ -519,7 +523,8 @@ class TestPairProperties:
         rho0 /= np.trace(rho0).real
         params = TwoQubitParams(j=j, gamma=kx * ratio, kx=kx)
         ts = np.linspace(0.0, t_max, 33)
-        for got, want in zip(_timeseries(validate_density(rho0), params, ts), spectral_timeseries(rho0, params, ts)):
+        got_all = _timeseries(_factor(validate_density(rho0)), params, ts)
+        for got, want in zip(got_all, spectral_timeseries(rho0, params, ts)):
             assert np.abs(got - want).max() <= 1e-12
 
     @settings(max_examples=60, deadline=None)
@@ -531,7 +536,7 @@ class TestPairProperties:
         # a pure pair state's reduced states have eigenvalues (1 +- sqrt(1 - C^2))/2 [Wootters 1998],
         # so both entropies are E(C): maximal where C is, at the EP; below, at (ratio 1) and above it
         params = TwoQubitParams(j=j, gamma=kx * ratio, kx=kx)
-        _, c, s_u, s_t = _timeseries(density_from_label(label), params, np.linspace(0.0, t_max, 65))
+        _, c, s_u, s_t = _timeseries(_START_FACTORS[label](), params, np.linspace(0.0, t_max, 65))
         c = np.minimum(c, 1.0)  # the run path's C may exceed 1 by rounding
         hi = (1 + np.sqrt((1 - c) * (1 + c))) / 2
         lo = c * c / (4 * hi)  # 1 - hi without its cancellation
@@ -539,6 +544,42 @@ class TestPairProperties:
             e_of_c = -hi * np.log2(hi) - np.where(lo > 0, lo * np.log2(lo), 0.0)
         assert np.abs(s_u - e_of_c).max() <= 1e-12
         assert np.abs(s_t - e_of_c).max() <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(j=st.floats(0.05, 3.0), kx=st.floats(0.05, 3.0),
+           ratio=st.one_of(st.floats(0.0, 0.99), st.just(1.0), st.floats(1.01, 3.0)), t_max=st.floats(1e-3, 60.0))
+    @example(j=0.5, kx=1.0, ratio=1.0, t_max=60.0)
+    def test_thermal_entropy_of_the_mixed_start_is_the_bell_starts(self, j, kx, ratio, t_max):
+        # an observed identity, not a derived one: the maximally mixed pair and the Bell pair leave the
+        # thermal qubit in states of equal entropy at every time; below, at (ratio 1) and above the EP
+        params, ts = TwoQubitParams(j=j, gamma=kx * ratio, kx=kx), np.linspace(0.0, t_max, 65)
+        s_mixed, s_bell = (_timeseries(_START_FACTORS[label](), params, ts)[3] for label in ("mixed", "bell"))
+        assert np.abs(s_mixed - s_bell).max() <= 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(lo=st.floats(0.0, 0.5), theta=st.floats(0.0, math.pi), phi=st.floats(0.0, 2 * math.pi),
+           scale=st.sampled_from([1.0, 1.0 + 2**-52, 1.0 - 2**-53, 1.0 + 2**-50]))
+    @example(lo=0.0, theta=0.0, phi=0.0, scale=1.0)  # exactly pure: S = 0
+    @example(lo=1e-20, theta=0.0, phi=0.0, scale=1.0)  # near-pure, lo about 1e-20
+    @example(lo=1e-20, theta=1.0, phi=2.0, scale=1.0)
+    @example(lo=0.5, theta=0.0, phi=0.0, scale=1.0)  # I/2: S = 1
+    @example(lo=0.5, theta=0.3, phi=0.0, scale=1.0 + 2**-52)  # a trace off 1 by rounding
+    @example(lo=0.0, theta=math.pi / 2, phi=0.0, scale=1.0 - 2**-53)
+    def test_closed_form_qubit_entropy_matches_eigvalsh(self, lo, theta, phi, scale):
+        # the run path's 2x2 eigenvalues in closed form against LAPACK's, on U diag(1 - lo, lo) U^dagger
+        u = np.array([[math.cos(theta / 2), -np.exp(-1j * phi) * math.sin(theta / 2)],
+                      [np.exp(1j * phi) * math.sin(theta / 2), math.cos(theta / 2)]])
+        rho = scale * (u * [1.0 - lo, lo]) @ u.conj().T
+        rho = (rho + rho.conj().T) / 2  # eigvalsh reads one triangle, the closed form the other
+        got, want = _entropy(_qubit_spectra(rho)), _entropy(np.linalg.eigvalsh(rho))
+        assert np.isfinite(got) and 0.0 <= got <= 1.0
+        # LAPACK's eigenvalues are the less accurate ones, off by up to about 1e-15 (200,000 draws)
+        assert np.abs(_qubit_spectra(rho) - np.linalg.eigvalsh(rho)).max() <= 2e-15
+        assert abs(got - want) <= 1e-13
+        if lo == 0.0 and theta == 0.0 and scale == 1.0:
+            assert got == 0.0
+        if lo == 0.5 and theta == 0.0 and scale == 1.0:
+            assert got == 1.0
 
     @settings(max_examples=100, deadline=None)
     @given(j=st.floats(0.0, 10.0), gamma=_RATE, kx=_RATE, t=st.floats(0.0, 1e4))
@@ -585,7 +626,29 @@ def test_entanglement_is_maximal_at_the_ep():
         assert late[1.0][k] == pytest.approx(1.0, abs=1e-3)
 
 
+@pytest.mark.parametrize("label", ["00", "bell", "mixed", "correlated"])
+def test_two_qubit_run_calls_no_eigensolver(label, monkeypatch):
+    # the run path takes each start's exact factor and closed-form spectra; only a mixed start's
+    # concurrence needs LAPACK, for the singular values of tau
+    def refuse(*args, **kwargs):
+        raise AssertionError("the two-qubit run path called a LAPACK routine it should not need")
+
+    names = ("eigh", "eigvalsh") if label in ("mixed", "correlated") else ("eigh", "eigvalsh", "svd")
+    for name in names:
+        monkeypatch.setattr(np.linalg, name, refuse)
+    cfg = parse_config(["two-qubit", "--init", label, "--gamma", "0.5", "--gamma", "1", "--gamma", "2",
+                        "--steps", "2000"])
+    columns = run(cfg).columns
+    assert all(np.all(np.isfinite(c.values)) for c in columns)
+
+
 class TestInitialStates:
+    @pytest.mark.parametrize("label", list(_DENSITY_LABELS))  # every --init choice has its factor
+    def test_start_factor_reproduces_the_density(self, label):
+        phi = _START_FACTORS[label]()
+        assert phi.shape[0] == 4 and phi.shape[1] == (1 if label in ("00", "bell") else 4)
+        assert np.abs(phi @ phi.conj().T - density_from_label(label)).max() <= 1e-15
+
     def test_labels(self):
         for label in ("00", "bell", "mixed", "correlated"):
             validate_density(density_from_label(label))
