@@ -161,10 +161,10 @@ def _period_samples(params: FloquetParams, sub: int):
 
 class _Samples:
     """A trajectory's rows on request: row 0 is the start state, row ``1 + n * spp + s`` sample s of
-    period n.  One period recurrence serves :func:`evolve_state` (every row at once) and the streamed
-    ``bloch-traj`` columns (a block at a time).  It holds the last period it computed, so rows asked
-    for in order cost one pass and an earlier row restarts from the start state; nothing it holds
-    grows with the number of periods.  Raises ValueError for a non-normalized initial state."""
+    period n.  :meth:`rows` gives every column of any rows from one period recurrence, for :func:`evolve_state`
+    (every row at once) and the streamed ``bloch-traj`` columns (a block at a time).  It holds the last period it
+    computed, so rows asked for in order cost one pass and an earlier row restarts from the start state; nothing
+    it holds grows with the number of periods.  Raises ValueError for a non-normalized initial state."""
 
     def __init__(self, psi0, params: FloquetParams, n_periods: int, substeps: int):
         psi = np.asarray(psi0, dtype=complex).copy()
@@ -181,8 +181,7 @@ class _Samples:
         self.tags = [SegmentKind.UNITARY, *tags]  # row 0's, then each sample's of a period
         self._tag_values = np.array([tag.value for tag in self.tags], dtype=object)
         self.n = 1 + n_periods * len(self.maps)
-        self._start = self._batch = psi[None]  # the held period's samples; the start state is period -1
-        self._period, self._block = -1, (None, None)
+        self._period, self._start, self._batch = -1, psi[None], psi[None]  # the held period; the start is period -1
 
     def states(self, a: int, b: int) -> np.ndarray:
         """Normalized statevectors of rows ``a`` to ``b - 1``, shape (b - a, 2)."""
@@ -203,23 +202,15 @@ class _Samples:
             raise ValueError("zero statevector has no Bloch representation")
         return out
 
-    def times(self, rows: np.ndarray) -> np.ndarray:
-        """Times of ``rows`` in units of the period."""
-        n, s = np.divmod(rows - 1, len(self.maps))  # row 0 is in period -1
-        return np.where(rows > 0, n + self.offsets[s], 0.0)
-
-    def segments(self, rows: np.ndarray) -> np.ndarray:
-        """Segment tag values ('unitary' or 'thermal') of ``rows``, an object array."""
-        return self._tag_values[np.where(rows > 0, (rows - 1) % len(self.maps) + 1, 0)]
-
-    def bloch(self, k: int, rows: np.ndarray) -> np.ndarray:
-        """Column ``k`` of theta, phi, x, y and z at ``rows``; the block of rows they span is computed
-        once while its columns are asked for in turn."""
-        span = (int(rows.min()), int(rows.max()) + 1) if len(rows) else (0, 0)
-        if self._block[0] != span:
-            theta, phi = _angles(self.states(*span))
-            self._block = span, (theta, phi, *_cartesian(theta, phi).T)
-        return self._block[1][k][rows - span[0]]
+    def rows(self, r: range) -> tuple[np.ndarray, ...]:
+        """Time (in periods), theta, phi, x, y, z and segment tag value of the flat rows in ``r``: one
+        :meth:`states` call over the span of rows they cover."""
+        idx = np.arange(r.start, r.stop, r.step)
+        a, b = (int(idx.min()), int(idx.max()) + 1) if len(idx) else (0, 0)
+        theta, phi = _angles(self.states(a, b)[idx - a])
+        n, s = np.divmod(idx - 1, len(self.maps))  # row 0 is in period -1
+        return (np.where(idx > 0, n + self.offsets[s], 0.0), theta, phi, *_cartesian(theta, phi).T,
+                self._tag_values[np.where(idx > 0, s + 1, 0)])
 
 
 def evolve_state(
@@ -240,15 +231,8 @@ def evolve_state(
     Raises ValueError for a non-normalized initial state.
     """
     samples = _Samples(psi0, params, n_periods, substeps_per_segment)
-    theta, phi = _angles(samples.states(0, samples.n))
-    return Trajectory(
-        times=samples.times(np.arange(samples.n)),
-        theta=theta,
-        phi=phi,
-        segment_tags=samples.tags[:1] + samples.tags[1:] * n_periods,
-        samples_per_period=len(samples.maps),
-        n_periods=n_periods,
-    )
+    times, theta, phi, *_ = samples.rows(range(samples.n))
+    return Trajectory(times, theta, phi, samples.tags[:1] + samples.tags[1:] * n_periods, len(samples.maps), n_periods)
 
 
 def stroboscopic_slice(traj: Trajectory) -> list[BlochState]:

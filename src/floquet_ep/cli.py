@@ -1,14 +1,14 @@
-"""Command-line run layer: one runner per command, and :func:`run`.  The
-numpy-free front end :mod:`floquet_ep.args` imports it after parsing; it
-re-exports that module's :class:`UsageError`, :func:`parse_config` and :func:`main`.  Each runner loads its kernel.
-``phase-diagram`` and ``bloch-traj`` stream: their columns are row sources, computed while the writer asks for blocks."""
+"""Command-line run layer: one runner per command, and :func:`run`.  The numpy-free front end :mod:`floquet_ep.args`
+imports it after parsing; it re-exports that module's :class:`UsageError`, :func:`parse_config` and :func:`main`.  Each
+runner loads its kernel.  ``phase-diagram``, ``bloch-traj`` and ``two-qubit`` stream: each hands :func:`_group` one
+``rows(range of flat row indices) -> tuple of columns``, run once per block while the writer asks for blocks."""
 
 from __future__ import annotations
 
 import math
 import os
 import sys
-from functools import partial
+from functools import lru_cache
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 # The kernels are elementwise or 2x2/4x4 stacks, below OpenBLAS's threading threshold: its pool
@@ -25,21 +25,30 @@ __all__ = ["UsageError", "parse_config", "run", "main"]
 
 
 class _Rows:
-    """A column of ``n`` rows, computed by ``rows(flat row indices)`` as asked (a writer block at a time when iterated)."""
+    """Column ``k`` of ``n`` rows: ``rows(range of flat row indices)`` returns its group's tuple of columns,
+    computed as asked (a writer block at a time when iterated)."""
 
-    def __init__(self, n: int, rows):
-        self.n, self.rows = n, rows
+    def __init__(self, n: int, rows, k: int):
+        self.n, self.rows, self.k = n, rows, k
 
     def __len__(self):
         return self.n
 
     def __getitem__(self, k):
         i = range(self.n)[k]
-        return self.rows(np.arange(i.start, i.stop, i.step)) if isinstance(k, slice) else self.rows(np.array([i]))[0]
+        return self.rows(i)[self.k] if isinstance(k, slice) else self.rows(range(i, i + 1))[self.k][0]
 
     def __iter__(self):
         for i in range(0, self.n, _BLOCK_ROWS):
             yield from self[i : i + _BLOCK_ROWS].tolist()
+
+
+def _group(n: int, rows, names) -> list[Column]:
+    """Columns ``(name, unit)`` of ``n`` rows over one ``rows(range of rows) -> tuple of columns``, sharing the last
+    block's tuple: a block costs one ``rows`` pass.  The first block is computed here, before the file opens."""
+    rows = lru_cache(maxsize=1)(rows)  # a range is its own key
+    rows(range(min(n, _BLOCK_ROWS)))
+    return [Column(name, unit, _Rows(n, rows, k)) for k, (name, unit) in enumerate(names)]
 
 
 def _run_phase_diagram(cfg: RunConfig) -> list[Column]:
@@ -51,11 +60,13 @@ def _run_phase_diagram(cfg: RunConfig) -> list[Column]:
                     AxisSpec(p["omega_min"], p["omega_max"], p["grid"][1], p["omega_scale"]), p["p"], p["j_av"])
     quantity, g, o = Quantity(p["quantity"]), grid.gamma_axis.values(), grid.omega_axis.values()
     _cells(grid, quantity, np.array([[g.min()], [g.max()]]), np.array([o.min(), o.max()]))
-    n, n_rows = len(o), len(g) * len(o)
-    return [Column("gamma_ratio", "dimensionless", _Rows(n_rows, lambda idx: g[idx // n])),
-            Column("omega_ratio", "dimensionless", _Rows(n_rows, lambda idx: o[idx % n])),
-            Column(p["quantity"].replace("-", "_"), "dimensionless",
-                   _Rows(n_rows, lambda idx: _cells(grid, quantity, g[idx // n], o[idx % n])))]
+
+    def rows(r):
+        i, n = np.arange(r.start, r.stop, r.step), len(o)
+        return g[i // n], o[i % n], _cells(grid, quantity, g[i // n], o[i % n])
+
+    return _group(len(g) * len(o), rows, [("gamma_ratio", "dimensionless"), ("omega_ratio", "dimensionless"),
+                                          (p["quantity"].replace("-", "_"), "dimensionless")])
 
 
 def _run_ep_contour(cfg: RunConfig) -> list[Column]:
@@ -91,8 +102,7 @@ def _run_floquet_ham(cfg: RunConfig) -> list[Column]:
 
 
 def _run_bloch_traj(cfg: RunConfig) -> list[Column]:
-    """Seven row sources over one :class:`~floquet_ep.bloch._Samples`: the rows are computed while they
-    are written, and the angle and coordinate columns of a block share one pass."""
+    """One row group over :class:`~floquet_ep.bloch._Samples`: the rows are computed while they are written."""
     from .bloch import _Samples, equal_superposition_xyz
     from .floquet import FloquetParams
     p = cfg.parameters
@@ -104,26 +114,28 @@ def _run_bloch_traj(cfg: RunConfig) -> list[Column]:
         phase = complex(math.cos(phi), math.sin(phi))
         psi0 = np.array([math.cos(theta / 2), phase * math.sin(theta / 2)], dtype=complex)
     s = _Samples(psi0, params, p["periods"], p["substeps"])
-    names = (("theta", "rad"), ("phi", "rad"), ("x", "dimensionless"), ("y", "dimensionless"), ("z", "dimensionless"))
-    return [Column("time", "T", _Rows(s.n, s.times)),
-            *(Column(name, unit, _Rows(s.n, partial(s.bloch, k))) for k, (name, unit) in enumerate(names)),
-            Column("segment", "tag", _Rows(s.n, s.segments))]
+    return _group(s.n, s.rows, [("time", "T"), ("theta", "rad"), ("phi", "rad"), ("x", "dimensionless"),
+                                ("y", "dimensionless"), ("z", "dimensionless"), ("segment", "tag")])
 
 
 def _run_two_qubit(cfg: RunConfig) -> list[Column]:
-    from .two_qubit import _START_FACTORS, TwoQubitParams, _timeseries
+    """One row group: ``jt``, then each rate pair's C, S_u and S_t; row i at ``np.linspace(0, t_max, steps + 1)[i]``.
+    Each pair's propagators at t_max are computed here, so a run that overflows later fails before its file opens."""
+    from .two_qubit import _START_FACTORS, TwoQubitParams, _propagators, _timeseries
     p = cfg.parameters
-    phi = _START_FACTORS[p["init"]]()
-    t_grid = np.linspace(0.0, p["t_max"], p["steps"] + 1)
-    combos = [(g, k) for g in p["gamma"] for k in p["kx"]]
-    columns = []
-    for gamma, kx in combos:  # j t is the same for every rate pair; it is finite once a kernel succeeds
-        jt, c, s_u, s_t = _timeseries(phi, TwoQubitParams(j=p["j"], gamma=gamma, kx=kx), t_grid)
-        suffix = "" if len(combos) == 1 else f"_g{gamma:g}_kx{kx:g}"
-        columns += [Column(f"concurrence{suffix}", "dimensionless", c),
-                    Column(f"entropy_unitary{suffix}", "bit", s_u),
-                    Column(f"entropy_thermal{suffix}", "bit", s_t)]
-    return [Column("jt", "dimensionless", jt), *columns]
+    phi, t_max, steps = _START_FACTORS[p["init"]](), p["t_max"], p["steps"]
+    pairs = [TwoQubitParams(j=p["j"], gamma=g, kx=k) for g in p["gamma"] for k in p["kx"]]
+
+    def rows(r):  # the times bit for bit as np.linspace's two branches give them; its last value is t_max
+        i = np.arange(r.start, r.stop, r.step, dtype=float)  # integer ops add ~0.1 MB of numpy to the RSS
+        ts = np.where(i == steps, t_max, i * (t_max / steps) if t_max / steps else i / steps * t_max)
+        return (p["j"] * ts, *(c for q in pairs for c in _timeseries(phi, q, ts)[1:]))
+
+    for params in pairs:
+        _propagators(params, np.array([t_max]))
+    names = [("concurrence", "dimensionless"), ("entropy_unitary", "bit"), ("entropy_thermal", "bit")]
+    suffixes = [""] if len(pairs) == 1 else [f"_g{q.gamma:g}_kx{q.kx:g}" for q in pairs]
+    return _group(steps + 1, rows, [("jt", "dimensionless")] + [(n + x, u) for x in suffixes for n, u in names])
 
 
 _RUNNERS = {

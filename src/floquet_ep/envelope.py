@@ -8,7 +8,10 @@ doubles; the metadata travels in ``#``-prefixed comment lines above the
 header.  A column is a list, a 1-D array or a row source (slices computed on
 request), turned into text a block of rows at a time: a float64 block through
 its column's one table of formatted bit patterns (restarted when full), any
-other block value by value.  ``SOURCE_DATE_EPOCH`` pins the timestamp.
+other block value by value.  Both formats ask every column for each block once,
+in row order: CSV writes the block's rows, JSON spools the block's column texts
+to a temporary file and copies them out column by column.  ``SOURCE_DATE_EPOCH``
+pins the timestamp.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import json
 import math
 import os
 import subprocess
+import tempfile
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
@@ -45,7 +49,8 @@ FORMATS = ("csv", "json")
 @dataclass
 class Column:
     """A result column: ``values`` is a list, a 1-D array or a row source (``len``, int and slice indexing and
-    iteration; slices are 1-D float64), encoded a block at a time: float64 through a table, the rest value by value."""
+    iteration; slices are 1-D arrays), encoded a block at a time: float64 through a table, the rest value by value.
+    The writers ask each block once, in row order, so the row sources of one group may share a block's pass."""
 
     name: str
     unit: str
@@ -177,17 +182,19 @@ def _float_texts(block, table, enc, fast) -> tuple[list[str], tuple]:
     return out.tolist(), (keys, texts)
 
 
-def _column_blocks(values, enc, fast):
-    """One column's texts per block of :data:`_BLOCK_ROWS` rows: a 1-D float64 block, of an array or a row
-    source, through :func:`_float_texts`; any other block value by value."""
-    table = None
-    for i in range(0, len(values), _BLOCK_ROWS):
-        block = values[i : i + _BLOCK_ROWS]
-        if hasattr(block, "dtype") and block.ndim == 1 and block.dtype == "float64":
-            texts, table = _float_texts(block, table, enc, fast)
-            yield texts
-        else:
-            yield list(map(enc, block.tolist() if hasattr(block, "dtype") else block))
+def _blocks(columns: list[Column], enc, fast):
+    """Each column's texts for each block of :data:`_BLOCK_ROWS` rows, one at a time: a block of every column, then
+    the next block, so each source is asked for each block once.  A 1-D float64 block, of an array or a row source,
+    goes through its column's :func:`_float_texts` table; any other block value by value."""
+    tables = [None] * len(columns)
+    for i in range(0, len(columns[0].values) if columns else 0, _BLOCK_ROWS):
+        for c, col in enumerate(columns):
+            block = col.values[i : i + _BLOCK_ROWS]
+            if hasattr(block, "dtype") and block.ndim == 1 and block.dtype == "float64":
+                texts, tables[c] = _float_texts(block, tables[c], enc, fast)
+                yield texts
+            else:
+                yield list(map(enc, block.tolist() if hasattr(block, "dtype") else block))
 
 
 def _csv_chunks(envelope: ResultEnvelope):
@@ -196,24 +203,33 @@ def _csv_chunks(envelope: ResultEnvelope):
            f"# parameters: {json.dumps(cfg.parameters, sort_keys=True)}\n# seed: {cfg.seed}\n"
            f"# build: {prov.get('build', '')}\n# timestamp: {prov.get('timestamp', '')}\n"
            + ",".join(c.header() for c in envelope.columns) + "\n")
-    for cols in zip(*(_column_blocks(c.values, _csv_value, _CSV_FLOAT) for c in envelope.columns)):
+    for cols in zip(*[_blocks(envelope.columns, _csv_value, _CSV_FLOAT)] * len(envelope.columns)):  # a block's columns
         yield "\n".join(map(",".join, zip(*cols))) + "\n"
 
 
 def _json_chunks(envelope: ResultEnvelope):
-    """``json.dumps(doc, indent=2)`` of the document: the skeleton once, each
-    column's ``values`` streamed in blocks into its place."""
+    """``json.dumps(doc, indent=2)`` of the document: the skeleton once, each column's ``values`` in its
+    place.  The blocks are encoded in the CSV writer's row order into one unnamed temporary file (in
+    ``TMPDIR``, about the output's size), with an offset per block, and copied out column by column."""
+    from array import array  # JSON only
+
     doc = {"schema_version": envelope.schema_version, "config": envelope.config.echo(), "columns": [],
            "provenance": envelope.provenance}
     # Split only at keys: an encoded string holds no raw newline and no bare quote.
     head, tail = (json.dumps(doc, indent=2) + "\n").split('\n  "columns": []')
     skeleton = [{"name": c.name, "unit": c.unit, "values": []} for c in envelope.columns]
     pieces = json.dumps(skeleton, indent=2).replace("\n", "\n  ").split('"values": []')
-    yield head + '\n  "columns": ' + pieces[0]
-    for c, piece in zip(envelope.columns, pieces[1:]):
-        for k, items in enumerate(_column_blocks(c.values, _json_value, _JSON_FLOAT)):
-            yield ("," if k else '"values": [') + "\n        " + ",\n        ".join(items)
-        yield ("\n      ]" if len(c.values) else '"values": []') + piece
+    with tempfile.TemporaryFile() as spool:
+        cols, ends = envelope.columns, array("q", [0])  # block k of column c spans ends[k * len(cols) + c : ... + 2]
+        for at, items in enumerate(_blocks(cols, _json_value, _JSON_FLOAT)):
+            text = ("," if at >= len(cols) else '"values": [') + "\n        " + ",\n        ".join(items)
+            ends.append(ends[-1] + spool.write(text.encode()))
+        yield head + '\n  "columns": ' + pieces[0]
+        for c, (col, piece) in enumerate(zip(cols, pieces[1:])):
+            for at in range(c, len(ends) - 1, len(cols)):
+                spool.seek(ends[at])
+                yield spool.read(ends[at + 1] - ends[at]).decode()
+            yield ("\n      ]" if len(col.values) else '"values": []') + piece
     yield tail
 
 

@@ -5,6 +5,7 @@ byte-identical to theirs."""
 import dataclasses
 import json
 import math
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -12,11 +13,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from floquet_ep.bloch import equal_superposition_xyz, evolve_state
-from floquet_ep.cli import parse_config, run
+from floquet_ep.bloch import _Samples, equal_superposition_xyz, evolve_state
+from floquet_ep.cli import main, parse_config, run
 from floquet_ep.floquet import FloquetParams
 from floquet_ep.presets import PRESET_NAMES, figure_preset
 from floquet_ep.sweep import AxisSpec, GridSpec, Quantity, compute_heatmap
+from floquet_ep.two_qubit import _START_FACTORS, TwoQubitParams, _evolve, _timeseries
 from floquet_ep.envelope import (
     _BLOCK_ROWS,
     _CSV_FLOAT,
@@ -349,6 +351,84 @@ def test_streamed_trajectory_equals_the_whole_array_render(argv, fmt):
     assert render(env) == oracle(whole)
     assert [list(c.values) for c in env.columns] == [list(c.values) for c in whole.columns]
     assert [c.values[len(xs) - 1] for c in env.columns] == [v[-1] for v in arrays]
+
+
+_PAIR_RATES = {1: ["--gamma", "1.25"], 4: ["--gamma", "0.75", "--gamma", "1", "--kx", "1", "--kx", "1.5"]}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("init", ["00", "bell", "mixed", "correlated"])
+@pytest.mark.parametrize("steps, t_max, n_pairs", [(1022, "63.9", 4), (1023, "5e-324", 1), (1024, "20", 1),
+                                                   (2048, "5e-324", 4)])  # 63.9 / 1022 * 1022 is not 63.9
+def test_streamed_pair_equals_the_whole_grid_render(steps, t_max, n_pairs, init, fmt):
+    """The pair's row group writes the bytes of ``_timeseries`` over the whole ``np.linspace`` grid,
+    rendered row by row, also where the step is subnormal; by index, its columns are the same values."""
+    env = run(parse_config(["two-qubit", "--steps", str(steps), "--t-max", t_max, "--init", init,
+                            *_PAIR_RATES[n_pairs], "--format", fmt]))
+    p = env.config.parameters
+    t_grid = np.linspace(0.0, p["t_max"], steps + 1)
+    series = [_timeseries(_START_FACTORS[init](), TwoQubitParams(p["j"], g, k), t_grid)
+              for g in p["gamma"] for k in p["kx"]]
+    arrays = [series[0][0], *(c for s in series for c in s[1:])]
+    whole = ResultEnvelope(env.config, [Column(c.name, c.unit, a) for c, a in zip(env.columns, arrays)], env.provenance)
+    render, oracle = (render_csv, oracle_csv) if fmt == "csv" else (render_json, oracle_json)
+    assert render(env) == oracle(whole)
+    n = steps + 1
+    for c, a in zip(env.columns, arrays):
+        assert c.values[-1] == a[-1] and c.values[n // 3] == a[n // 3]
+        assert c.values[:].tobytes() == a.tobytes()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_pair_write_peak_does_not_grow_with_steps(fmt, tmp_path):
+    """A three-rate pair at 10,001 and 100,001 rows peaks within 0.1 MB of each other, as CSV and through
+    the JSON spool: nothing held grows with the steps.  Holding the columns took about 78 B per row as
+    CSV and 111 B as JSON."""
+    peaks = []
+    for steps in (10_000, 100_000):
+        argv = ["two-qubit", "--gamma", "0.5", "--gamma", "1", "--gamma", "2", "--steps", str(steps),
+                "--format", fmt, "--output", str(tmp_path / f"pair.{fmt}")]
+        tracemalloc.start()
+        try:
+            write_result(run(parse_config(argv)))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 0.1e6
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_each_block_costs_one_kernel_pass(fmt, tmp_path, monkeypatch):
+    """No source is asked for a block twice, in either format: fig2b's 25,601 rows call the recurrence
+    once per block (26 times; JSON called it 130 times when its columns were walked one by one), and the
+    headline sweep's 4,001 rows call ``_evolve`` once per block and rate pair (4 x 6 = 24 times)."""
+    calls = {"states": 0, "evolve": 0}
+
+    def counting(key, fn):
+        def counted(*args):
+            calls[key] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(_Samples, "states", counting("states", _Samples.states))
+    monkeypatch.setattr("floquet_ep.two_qubit._evolve", counting("evolve", _evolve))
+    write_result(run(dataclasses.replace(figure_preset("fig2b"), format=fmt, output_path=str(tmp_path / "fig2b"))))
+    head = ["two-qubit", "--j", "0.5", "--kx", "1", *(a for g in ("0.5", "0.95", "1", "1.05", "2", "5") for a in ("--gamma", g)),
+            "--t-max", "200", "--steps", "4000", "--format", fmt, "--output", str(tmp_path / "pair")]
+    write_result(run(parse_config(head)))
+    assert calls == {"states": 26, "evolve": 24}
+
+
+def test_json_spool_failure_is_one_error_line(tmp_path, monkeypatch, capsys):
+    """JSON spools its blocks to a temporary file: when none can be made, the run exits 1 with one
+    ``error:`` line and no traceback."""
+    def no_spool(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", no_spool)
+    assert main(["two-qubit", "--steps", "4", "--format", "json", "--output", str(tmp_path / "pair.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_large_phase_map_write_peak_memory(tmp_path):

@@ -453,7 +453,8 @@ class TestTimeseries:
     @pytest.mark.parametrize(
         "rates",
         [["--j=1.7e+308"], ["--kx", "1e200", "--gamma", "0", "--t-max", "1e200"],
-         ["--gamma", "1e200", "--kx", "0", "--t-max", "1e200"], ["--gamma", "1e150", "--kx", "1e150", "--t-max", "1e200"]],
+         ["--gamma", "1e200", "--kx", "0", "--t-max", "1e200"], ["--gamma", "1e150", "--kx", "1e150", "--t-max", "1e200"],
+         ["--j", "1e307", "--steps", "3000"]],  # j t overflows past t = 17.98 of 20: in the last block
     )
     def test_overflowing_rates_or_times_exit_1_with_one_error_line(self, rates, tmp_path, capsys):
         out = tmp_path / "pair.csv"
