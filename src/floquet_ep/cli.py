@@ -70,17 +70,15 @@ def _run_phase_diagram(cfg: RunConfig) -> list[Column]:
 
 
 def _run_ep_contour(cfg: RunConfig) -> list[Column]:
-    from .sweep import trace_contours
+    """The flat points of :func:`~floquet_ep.sweep._contour_points`, in the order that
+    :func:`~floquet_ep.sweep.trace_contours` groups them, and their phase-diagram ratios."""
+    from .sweep import _contour_points
     p = cfg.parameters
-    contours = trace_contours(p["p"], p["j_av"], (p["omega_min"], p["omega_max"]), p["samples"])
+    cols = _contour_points(p["p"], p["j_av"], (p["omega_min"], p["omega_max"]), p["samples"])
     pj = p["p"] * p["j_av"]
-    blocks = [np.column_stack([np.full((len(b.points), 2), (b.branch, b.resonance_index), dtype=float),
-                               b.points[:, ::-1]])  # points are (gamma, omega)
-              for b in contours.branches]
-    cols = np.concatenate([np.empty((0, 4))] + blocks).T
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        cols = np.vstack([cols, cols[2] / pj, (1 - p["p"]) * cols[3] / pj])
-    if not np.all(np.isfinite(cols)):
+        cols += (cols[2] / pj, (1 - p["p"]) * cols[3] / pj)
+    if not all(np.all(np.isfinite(c)) for c in cols):
         raise ValueError("a contour value is not finite: p*j_av or the thermal segment is too small")
     names = ("branch", "interval_k", "omega", "gamma_av", "omega_ratio", "gamma_ratio")
     units = ("sign", "index", "rad/time", "1/time", "dimensionless", "dimensionless")

@@ -220,11 +220,11 @@ def _json_chunks(envelope: ResultEnvelope):
     skeleton = [{"name": c.name, "unit": c.unit, "values": []} for c in envelope.columns]
     pieces = json.dumps(skeleton, indent=2).replace("\n", "\n  ").split('"values": []')
     with tempfile.TemporaryFile() as spool:
+        yield head + '\n  "columns": ' + pieces[0]  # data-independent: the spool exists before the file opens
         cols, ends = envelope.columns, array("q", [0])  # block k of column c spans ends[k * len(cols) + c : ... + 2]
         for at, items in enumerate(_blocks(cols, _json_value, _JSON_FLOAT)):
             text = ("," if at >= len(cols) else '"values": [') + "\n        " + ",\n        ".join(items)
             ends.append(ends[-1] + spool.write(text.encode()))
-        yield head + '\n  "columns": ' + pieces[0]
         for c, (col, piece) in enumerate(zip(cols, pieces[1:])):
             for at in range(c, len(ends) - 1, len(cols)):
                 spool.seek(ends[at])
@@ -242,11 +242,13 @@ def render_json(envelope: ResultEnvelope) -> str:
 
 
 def write_result(envelope: ResultEnvelope) -> Path:
-    """Serialize to the configured path block by block, never holding the
-    whole text; I/O errors propagate (the CLI maps them to exit status 1)."""
-    path = Path(envelope.config.output_path)
+    """Serialize to the configured path block by block, never holding the whole text.  The first chunk comes before
+    the file opens (JSON's spool is made by then); I/O errors propagate (the CLI maps them to exit status 1)."""
+    chunks = (_csv_chunks if envelope.config.format == "csv" else _json_chunks)(envelope)
+    first, path = next(chunks), Path(envelope.config.output_path)
     with path.open("w", encoding="utf-8", newline="") as fh:
-        fh.writelines((_csv_chunks if envelope.config.format == "csv" else _json_chunks)(envelope))
+        fh.write(first)
+        fh.writelines(chunks)
     return path
 
 

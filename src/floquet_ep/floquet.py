@@ -49,7 +49,7 @@ __all__ = [
 #: unitary segment is trivial and the eigenvectors are Dirac-orthogonal.
 RESONANCE_TOL = 1e-12
 
-#: default half-width of the discriminant band labelled an exceptional point
+#: half-width of the discriminant band labelled an exceptional point
 PHASE_TOL = 1e-10
 
 
@@ -99,9 +99,8 @@ class FloquetParams:
         """Build from the phase-diagram coordinates
         ``gamma_ratio = (1-p)*gamma_av/(p*j_av)`` and
         ``omega_ratio = omega/(p*j_av)``."""
-        pj = p * j_av
-        if pj <= 0 or p >= 1:
-            raise ValueError("dimensionless coordinates need 0 < p < 1 and j_av > 0")
+        _check_rates(p, j_av)
+        pj = p * j_av  # one product: omega_ratio * p * j_av rounds differently
         return cls.from_omega(p, omega_ratio * pj, j_av, gamma_ratio * pj / (1 - p))
 
     @property
@@ -164,12 +163,12 @@ class PhaseLabel:
 
     ``discriminant`` is the squared Pauli-vector length of the one-period
     map: negative in the PT-symmetric phase (eigenvalues of equal magnitude),
-    positive in the PT-broken phase, zero on an exceptional contour.
+    positive in the PT-broken phase, zero on an exceptional contour.  ``kind``
+    is the exceptional point within the band ``|discriminant| <= PHASE_TOL``.
     """
 
     kind: PhaseKind
     discriminant: float
-    tol: float
 
 
 @dataclass(frozen=True)
@@ -320,9 +319,9 @@ def _generator(drive_area, gain_area, T):
     return *h, np.abs(d) <= CONTOUR_TOL
 
 
-def _phase_code(d, tol: float = PHASE_TOL):
-    """-1 PT-symmetric, 0 exceptional point (``|d| <= tol``), +1 PT-broken."""
-    return np.where(d < -tol, -1.0, np.where(d > tol, 1.0, 0.0))
+def _phase_code(d):
+    """-1 PT-symmetric, 0 exceptional point (``|d| <= PHASE_TOL``), +1 PT-broken."""
+    return np.where(d < -PHASE_TOL, -1.0, np.where(d > PHASE_TOL, 1.0, 0.0))
 
 
 def _eigenvector_overlap(drive_area, gain_area):
@@ -355,13 +354,11 @@ def floquet_eigenvalues(params: FloquetParams) -> tuple[complex, complex]:
     return g0 + mod, g0 - mod
 
 
-def classify_phase(params: FloquetParams, tol: float = PHASE_TOL) -> PhaseLabel:
-    """PT-phase label from the sign of the discriminant."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+def classify_phase(params: FloquetParams) -> PhaseLabel:
+    """PT-phase label from the sign of the discriminant; its EP band ``|d| <= PHASE_TOL`` is the ``phase`` map's."""
     d = discriminant(params)
-    kind = (PhaseKind.PT_SYMMETRIC, PhaseKind.EXCEPTIONAL_POINT, PhaseKind.PT_BROKEN)[int(_phase_code(d, tol)) + 1]
-    return PhaseLabel(kind=kind, discriminant=d, tol=tol)
+    kind = (PhaseKind.PT_SYMMETRIC, PhaseKind.EXCEPTIONAL_POINT, PhaseKind.PT_BROKEN)[int(_phase_code(d)) + 1]
+    return PhaseLabel(kind=kind, discriminant=d)
 
 
 def eigenvector_overlap(params: FloquetParams) -> float:
@@ -375,8 +372,8 @@ def eigenvector_overlap(params: FloquetParams) -> float:
     return float(_eigenvector_overlap(params.drive_area, params.gain_area))
 
 
-def _contour_gamma(p, j_av, omega, drive_area, beta, branch: int):
-    """Gain rate solving ``cos(drive_area) cosh(beta gamma) = branch``, nan where no contour
+def _contour_gamma(p, j_av, omega, drive_area, beta, branch):
+    """Gain rate solving ``cos(drive_area) cosh(beta gamma) = branch`` (signs +-1, broadcast), nan where no contour
     passes; ``branch / cos`` within 1e-12 below 1 is roundoff at a resonance and counts as 1.
     ValueError naming p, j_av and the first frequency omega where the gain overflows."""
     if not np.all(beta > 0):

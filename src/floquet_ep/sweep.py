@@ -6,8 +6,8 @@ axis).  Every cell quantity is an elementwise closed form, so a heat map is
 one numpy pass over the whole grid through the same helpers as the scalar
 functions of :mod:`floquet_ep.floquet`; each cell equals the scalar result
 at :meth:`GridSpec.params_at` bit for bit.  The CLI evaluates the same :func:`_cells` on flat
-rows, a block at a time while it writes them.  A contour trace is one array inversion per
-branch; each gain equals :func:`~floquet_ep.floquet.ep_contour_gamma` there bit for bit.
+rows, a block at a time while it writes them.  A contour trace is one array inversion over
+both branch signs; each gain equals :func:`~floquet_ep.floquet.ep_contour_gamma` there bit for bit.
 """
 
 from __future__ import annotations
@@ -66,10 +66,7 @@ class GridSpec:
     j_av: float = 1.0
 
     def __post_init__(self):
-        if not 0 < self.p < 1:
-            raise ValueError("p must lie strictly between 0 and 1")
-        if self.j_av <= 0:
-            raise ValueError("j_av must be positive")
+        _check_rates(self.p, self.j_av)
 
     def params_at(self, gamma_ratio: float, omega_ratio: float) -> FloquetParams:
         return FloquetParams.from_dimensionless(gamma_ratio, omega_ratio, self.p, self.j_av)
@@ -136,14 +133,9 @@ class ContourSet:
     branches: list[ContourBranch] = field(default_factory=list)
 
 
-def trace_contours(p: float, j_av: float, omega_range: tuple[float, float], n_samples: int) -> ContourSet:
-    """Sample the exceptional contours over a frequency window.
-
-    The contour condition is exactly invertible per frequency, so the arms
-    are sampled directly rather than path-followed, in one array pass per
-    branch sign.  Each branch holds the points of one (branch sign,
-    inter-resonance interval index), in frequency order.
-    """
+def _contour_points(p: float, j_av: float, omega_range: tuple[float, float], n_samples: int):
+    """Flat float arrays ``(branch, k, omega, gamma_av)`` of the contour points: both signs' gains in one
+    inversion, the non-nan points ordered by interval k, then +1 before -1, then frequency."""
     lo, hi = omega_range
     if not (lo > 0 and hi > lo):
         raise ValueError("omega_range must satisfy 0 < lo < hi")
@@ -152,16 +144,23 @@ def trace_contours(p: float, j_av: float, omega_range: tuple[float, float], n_sa
     FloquetParams.from_omega(p, hi, j_av, 0.0)  # checks p and j_av
     omegas = np.linspace(lo, hi, n_samples)
     T, drive_area, _ = _areas(p, omegas, j_av, 0.0)
-    intervals = np.floor(2 * (p * j_av / omegas))  # = floor(2 p j_av / omega), finite with drive_area
-    branches = []
-    for branch in (1, -1):
-        gammas = _contour_gamma(p, j_av, omegas, drive_area, (1 - p) * T, branch)
-        found = np.flatnonzero(~np.isnan(gammas))
-        for run in np.split(found, np.flatnonzero(np.diff(intervals[found])) + 1):  # monotone: one run per interval
-            if run.size:
-                points = np.column_stack([gammas[run], omegas[run]])
-                branches.append(ContourBranch(branch, int(intervals[run[0]]), points))
-    return ContourSet(branches=sorted(branches, key=lambda b: (b.resonance_index, -b.branch)))
+    k = np.floor(2 * (p * j_av / omegas))  # = floor(2 p j_av / omega), finite with drive_area
+    signs = np.array([[1.0], [-1.0]])  # gamma: row +1, then row -1
+    gamma = _contour_gamma(p, j_av, omegas, drive_area, (1 - p) * T, signs)
+    found = ~np.isnan(gamma)
+    branch, k, omega, gamma = (np.broadcast_to(x, gamma.shape)[found] for x in (signs, k, omegas, gamma))
+    order = np.lexsort((omega, -branch, k))
+    return branch[order], k[order], omega[order], gamma[order]
+
+
+def trace_contours(p: float, j_av: float, omega_range: tuple[float, float], n_samples: int) -> ContourSet:
+    """Sample the exceptional contours over a frequency window.  The condition is exactly invertible per
+    frequency, so the arms are sampled, not path-followed: :func:`_contour_points` split into one branch per
+    (sign, interval k), points in frequency order, branches by k with +1 before -1."""
+    branch, k, omega, gamma = _contour_points(p, j_av, omega_range, n_samples)
+    starts = np.flatnonzero((np.diff(branch, prepend=0.0) != 0) | (np.diff(k, prepend=-1.0) != 0))
+    arms = np.split(np.column_stack([gamma, omega]), starts[1:])
+    return ContourSet([ContourBranch(int(branch[i]), int(k[i]), arm) for i, arm in zip(starts, arms)])
 
 
 @dataclass(frozen=True)

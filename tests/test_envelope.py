@@ -421,14 +421,29 @@ def test_each_block_costs_one_kernel_pass(fmt, tmp_path, monkeypatch):
 
 def test_json_spool_failure_is_one_error_line(tmp_path, monkeypatch, capsys):
     """JSON spools its blocks to a temporary file: when none can be made, the run exits 1 with one
-    ``error:`` line and no traceback."""
+    ``error:`` line and no traceback, before the output file opens."""
     def no_spool(*args, **kwargs):
         raise OSError(28, "No space left on device")
 
     monkeypatch.setattr(tempfile, "TemporaryFile", no_spool)
-    assert main(["two-qubit", "--steps", "4", "--format", "json", "--output", str(tmp_path / "pair.json")]) == 1
+    out = tmp_path / "pair.json"
+    assert main(["two-qubit", "--steps", "4", "--format", "json", "--output", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_json_spool_failure_keeps_an_existing_output(tmp_path, monkeypatch, capsys):
+    # the spool is made before the output file opens, so a file already at the path is not truncated
+    def no_spool(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", no_spool)
+    out = tmp_path / "pair.json"
+    out.write_bytes(b"an earlier run's result\n")
+    assert main(["two-qubit", "--steps", "4", "--format", "json", "--output", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert out.read_bytes() == b"an earlier run's result\n"
 
 
 def test_large_phase_map_write_peak_memory(tmp_path):

@@ -272,7 +272,7 @@ class TestPhase:
                 gamma_av=rng.uniform(0.0, 1.0),
             )
             lam_p, lam_m = floquet_eigenvalues(params)
-            kind = classify_phase(params, tol=1e-9).kind
+            kind = classify_phase(params).kind
             if kind is PhaseKind.PT_SYMMETRIC:
                 assert abs(abs(lam_p) - abs(lam_m)) < 1e-9
             elif kind is PhaseKind.PT_BROKEN:

@@ -339,11 +339,13 @@ class TestResonances:
             lambda p, j_av: resonance_frequencies(p, j_av, 2),
             lambda p, j_av: ep_node_asymptote(0, p, j_av, 0.1),
             ep_gamma_high_frequency,
+            lambda p, j_av: GridSpec(AxisSpec(0.1, 1.0, 3), AxisSpec(0.1, 1.0, 3), p, j_av),
+            lambda p, j_av: FloquetParams.from_dimensionless(1.0, 1.0, p, j_av),
         ],
-        ids=["resonance_frequencies", "ep_node_asymptote", "ep_gamma_high_frequency"],
+        ids=["resonance_frequencies", "ep_node_asymptote", "ep_gamma_high_frequency", "GridSpec", "from_dimensionless"],
     )
     def test_rejects_rates_outside_their_range(self, helper, p, j_av):
-        # 0 < p < 1 and a finite j_av > 0, or no resonance, node or limit exists
+        # 0 < p < 1 and a finite j_av > 0, or no resonance, node, limit or phase-diagram coordinate exists
         with pytest.raises(ValueError, match="p must lie strictly between 0 and 1|j_av must be positive and finite"):
             helper(p, j_av)
 

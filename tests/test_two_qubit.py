@@ -627,6 +627,33 @@ def test_entanglement_is_maximal_at_the_ep():
         assert late[1.0][k] == pytest.approx(1.0, abs=1e-3)
 
 
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@settings(max_examples=10, deadline=None)
+@given(init=st.sampled_from(["00", "bell", "mixed", "correlated"]), kx=_log_uniform(0.2, 3.0),
+       j=_log_uniform(0.1, 5.0), j_other=_log_uniform(0.1, 5.0))
+def test_entanglement_is_maximal_at_the_ep_for_every_start(init, kx, j, j_other):
+    """The headline for each ``--init`` start: the late-time (t >= 0.9 t_max) thermal entropy is largest at
+    gamma = kx, by more than 0.01 over gamma / kx in {0.5, 0.9, 1.1, 2}, and so are the concurrence and the
+    unitary entropy, except from the mixed start.  There those two are constant, C = 0 and S_u = 1 at every
+    gamma and time, so the claim holds but not strictly.  j drops out: j 1 x sigma_x commutes with the rest
+    of the pair Hamiltonian, a local unitary, so a second j gives the same C, S_u and S_t."""
+    ratios, ts = (0.5, 0.9, 1.0, 1.1, 2.0), np.linspace(0.0, 200.0 / kx, 2001)
+    late = {}
+    for ratio in ratios:
+        # rows C, S_u, S_t over the times, at j and at j_other
+        at_j, at_other = (np.array(_timeseries(_START_FACTORS[init](), TwoQubitParams(rate, ratio * kx, kx), ts)[1:])
+                          for rate in (j, j_other))
+        assert np.abs(at_j - at_other).max() <= 1e-12
+        if init == "mixed":
+            assert at_j[0].max() <= 1e-12 and np.abs(at_j[1] - 1.0).max() <= 1e-12
+        late[ratio] = at_j[:, ts >= 0.9 * ts[-1]].mean(axis=1)
+    for k in (2,) if init == "mixed" else (0, 1, 2):
+        assert all(late[1.0][k] - late[ratio][k] > 0.01 for ratio in ratios if ratio != 1.0)
+
+
 @pytest.mark.parametrize("label", ["00", "bell", "mixed", "correlated"])
 def test_two_qubit_run_calls_no_eigensolver(label, monkeypatch):
     # the run path takes each start's exact factor and closed-form spectra; only a mixed start's
