@@ -101,6 +101,8 @@ class ResultEnvelope:
 
 def _build_id() -> str:
     here = Path(__file__).resolve().parent
+    if not (here.parents[1] / ".git").exists():  # an installed copy: not this package's checkout
+        return f"floquet-ep-{__version__}"
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty", "--tags"],

@@ -129,17 +129,13 @@ class FloquetParams:
 
     @property
     def gamma_ratio(self) -> float:
-        pj = self.p * self.j_av
-        if pj == 0:
-            raise ValueError("gamma_ratio undefined for p*j_av == 0")
-        return (1 - self.p) * self.gamma_av / pj
+        _check_rates(self.p, self.j_av)
+        return (1 - self.p) * self.gamma_av / (self.p * self.j_av)
 
     @property
     def omega_ratio(self) -> float:
-        pj = self.p * self.j_av
-        if pj == 0:
-            raise ValueError("omega_ratio undefined for p*j_av == 0")
-        return self.omega / pj
+        _check_rates(self.p, self.j_av)
+        return self.omega / (self.p * self.j_av)
 
     def with_gamma(self, gamma_av: float) -> "FloquetParams":
         return FloquetParams(self.p, self.T, self.j_av, gamma_av)

@@ -137,11 +137,11 @@ def _contour_points(p: float, j_av: float, omega_range: tuple[float, float], n_s
     """Flat float arrays ``(branch, k, omega, gamma_av)`` of the contour points: both signs' gains in one
     inversion, the non-nan points ordered by interval k, then +1 before -1, then frequency."""
     lo, hi = omega_range
-    if not (lo > 0 and hi > lo):
-        raise ValueError("omega_range must satisfy 0 < lo < hi")
+    if not 0 < lo < hi < np.inf:
+        raise ValueError("omega_range must satisfy 0 < lo < hi < inf")
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
-    FloquetParams.from_omega(p, hi, j_av, 0.0)  # checks p and j_av
+    _check_rates(p, j_av)
     omegas = np.linspace(lo, hi, n_samples)
     T, drive_area, _ = _areas(p, omegas, j_av, 0.0)
     k = np.floor(2 * (p * j_av / omegas))  # = floor(2 p j_av / omega), finite with drive_area

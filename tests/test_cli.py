@@ -989,3 +989,89 @@ class TestBlasThreadDefault:
     def test_cli_import_starts_no_blas_thread(self):
         code = "import os, floquet_ep.cli; print(len(os.listdir('/proc/self/task')))"
         assert _fresh_python("-c", code).stdout.strip() == "1"
+
+
+#: ``floquet_ep.args.main`` in a process that ends the ordinary way, against which the entry point is compared
+_PLAIN_EXIT = "import sys; from floquet_ep.args import main; sys.exit(main(sys.argv[1:]))"
+
+#: ``python -m floquet_ep ARGV`` with an ``atexit`` handler that reports whether the GC was frozen by then
+_FREEZE_AT_EXIT = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print("frozen at exit:", gc.get_freeze_count() > 0, file=sys.stderr))
+runpy.run_module("floquet_ep", run_name="__main__", alter_sys=True)
+"""
+
+
+class TestProcessExit:
+    """The ``floquet-ep`` process skips the final collection: ``__main__.run`` freezes the GC before it
+    exits, and that changes no byte, stream or status; ``main`` called in-process freezes nothing."""
+
+    _ARGVS = [
+        (["floquet-ham", "--omega-count", "3", "--omega-max", "3.0"], 0),
+        (["floquet-ham", "--format", "json"], 0),
+        (["two-qubit", "--steps", "1"], 2),
+        (["floquet-ham", "--omega", "1e-310"], 1),
+        (["--help"], 0),
+        (["preset", "--help"], 0),
+    ]
+
+    @pytest.mark.parametrize("argv, status", _ARGVS, ids=[" ".join(a) for a, _ in _ARGVS])
+    def test_entry_point_matches_a_plain_exit(self, tmp_path, argv, status):
+        out = tmp_path / "out.dat"
+        argv = [*argv, "--output", str(out)] if "--help" not in argv else argv
+        results = []
+        for lead in (["-m", "floquet_ep"], ["-c", _PLAIN_EXIT]):
+            out.unlink(missing_ok=True)
+            proc = subprocess.run([sys.executable, *lead, *argv], capture_output=True,
+                                  env={**os.environ, "SOURCE_DATE_EPOCH": "0"})
+            results.append((proc.returncode, proc.stdout, proc.stderr, out.read_bytes() if out.exists() else None))
+        assert results[0] == results[1]
+        assert results[0][0] == status
+        assert (results[0][3] is not None) == (status == 0 and "--help" not in argv)
+
+    def test_the_process_freezes_and_still_runs_atexit(self, tmp_path):
+        proc = _fresh_python("-c", _FREEZE_AT_EXIT, "floquet-ham", "--output", str(tmp_path / "out.csv"))
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("wrote ") and proc.stderr == "frozen at exit: True\n"
+
+    def test_console_script_runs_what_python_dash_m_runs(self):
+        import ast
+
+        import floquet_ep.__main__ as entry
+
+        tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+        root = Path(__file__).resolve().parents[1]
+        target = tomllib.loads((root / "pyproject.toml").read_text())["project"]["scripts"]["floquet-ep"]
+        module, name = target.split(":")
+        guard = next(node for node in ast.parse(Path(entry.__file__).read_text()).body if isinstance(node, ast.If))
+        assert ast.unparse(guard.test) == "__name__ == '__main__'"
+        assert [ast.unparse(node) for node in guard.body] == [f"{name}()"]
+        assert getattr(importlib.import_module(module), name) is getattr(entry, name)
+
+    def test_in_process_main_freezes_nothing(self, tmp_path, capsys):
+        import gc
+
+        before = gc.get_freeze_count()
+        assert main(["floquet-ham", "--output", str(tmp_path / "out.csv")]) == 0
+        assert main(["--help"]) == 0
+        assert gc.get_freeze_count() == before
+
+
+def test_build_line_names_no_enclosing_repository(tmp_path):
+    """A copy installed inside an unrelated git repository writes its version alone, not that repository's commit."""
+    import shutil
+
+    import floquet_ep
+
+    if shutil.which("git") is None:
+        pytest.skip("git is not installed")
+    proj = tmp_path / "proj"
+    site = proj / ".venv" / "lib" / "site-packages"
+    shutil.copytree(Path(floquet_ep.__file__).parent, site / "floquet_ep", ignore=shutil.ignore_patterns("__pycache__"))
+    git = ["git", "-C", str(proj), "-c", "user.name=floquet-ep", "-c", "user.email=floquet-ep@localhost"]
+    subprocess.run(["git", "init", "-q", str(proj)], check=True)
+    subprocess.run([*git, "commit", "-q", "--allow-empty", "-m", "unrelated"], check=True)
+    out = tmp_path / "out.csv"
+    proc = _fresh_python("-m", "floquet_ep", "floquet-ham", "--output", str(out), PYTHONPATH=str(site))
+    assert proc.returncode == 0, proc.stderr
+    assert "# build: floquet-ep-0.1.0\n" in out.read_text()

@@ -59,6 +59,15 @@ class TestParams:
         assert params.gamma_ratio == pytest.approx(1.25, rel=1e-12)
         assert params.omega_ratio == pytest.approx(2.5 * math.pi, rel=1e-12)
 
+    @pytest.mark.parametrize("p,j_av", [(1.0, 1.0), (0.0, 1.0), (0.5, 0.0)])
+    @pytest.mark.parametrize("ratio", ["gamma_ratio", "omega_ratio"])
+    def test_ratios_need_both_segments(self, ratio, p, j_av):
+        # the phase-diagram coordinates follow the rate rule of from_dimensionless; p = 1 once gave
+        # gamma_ratio 0.0 and omega_ratio 3.14
+        params = FloquetParams(p=p, T=2.0, j_av=j_av, gamma_av=0.3)
+        with pytest.raises(ValueError, match="p must lie strictly between 0 and 1|j_av must be positive and finite"):
+            getattr(params, ratio)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             FloquetParams(p=1.5, T=1.0, j_av=1.0, gamma_av=0.0)

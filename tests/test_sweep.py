@@ -254,6 +254,9 @@ class TestContours:
             trace_contours(0.5, 1.0, (0.0, 1.0), 10)
         with pytest.raises(ValueError):
             trace_contours(0.5, 1.0, (1.0, 2.0), 1)
+        for window in [(0.5, math.inf), (math.nan, 1.0), (0.5, math.nan)]:  # raised, not a RuntimeWarning
+            with pytest.raises(ValueError, match="omega_range must satisfy 0 < lo < hi < inf"):
+                trace_contours(0.5, 1.0, window, 3)
 
 
 def _contours_per_frequency(p, j_av, omega_range, n_samples):
@@ -341,11 +344,13 @@ class TestResonances:
             ep_gamma_high_frequency,
             lambda p, j_av: GridSpec(AxisSpec(0.1, 1.0, 3), AxisSpec(0.1, 1.0, 3), p, j_av),
             lambda p, j_av: FloquetParams.from_dimensionless(1.0, 1.0, p, j_av),
+            lambda p, j_av: trace_contours(p, j_av, (0.5, 1.0), 3),
         ],
-        ids=["resonance_frequencies", "ep_node_asymptote", "ep_gamma_high_frequency", "GridSpec", "from_dimensionless"],
+        ids=["resonance_frequencies", "ep_node_asymptote", "ep_gamma_high_frequency", "GridSpec", "from_dimensionless",
+             "trace_contours"],
     )
     def test_rejects_rates_outside_their_range(self, helper, p, j_av):
-        # 0 < p < 1 and a finite j_av > 0, or no resonance, node, limit or phase-diagram coordinate exists
+        # 0 < p < 1 and a finite j_av > 0, or no resonance, node, limit, contour or phase-diagram coordinate exists
         with pytest.raises(ValueError, match="p must lie strictly between 0 and 1|j_av must be positive and finite"):
             helper(p, j_av)
 
@@ -405,6 +410,7 @@ def _call_public(name, v):
        v=st.lists(_ANY, min_size=6, max_size=6))
 @example(name="resonance_frequencies", v=[0.0, 0.0, 0.0, 0.0, 0.5, 1.7e308])  # the k = 0 node overflowed to inf
 @example(name="trace_contours", v=[1e200, 1.7e308, 0.0, 0.0, 0.75, 1.7e308])  # a contour gain overflowed to inf
+@example(name="trace_contours", v=[1e200, 1.7e308, 0.0, 0.0, 0.75, 5e307])  # the same with finite p j_av / (1 - p)
 @example(name="validate_density", v=[0.0, 0.0, 1e308, 1e308, 0.0, 0.0])  # its trace overflowed with a warning
 @example(name="params", v=[0.0, 1e200, 1e200, 0.0, 0.0, 0.0])  # delta was nan: inf - inf
 def test_pair_and_sweep_functions_end_finite_or_raise(name, v):
@@ -424,5 +430,9 @@ def test_contour_gain_overflow_names_the_inputs():
     # (1 - p) T is subnormal at omega = 1.7e308: the gain arccosh(...) / ((1 - p) T) overflows
     with pytest.raises(ValueError, match=re.escape("contour gain overflows at p 0.75, j_av 1.7e+308, omega 1.7e+308")):
         ep_contour_gamma(FloquetParams.from_omega(0.75, 1.7e308, 1.7e308, 0.0), -1)
-    with pytest.raises(ValueError, match="contour gain overflows at p 0.75, j_av 1.7e[+]308, omega"):
+    # trace_contours takes only rates whose high-frequency limit p j_av / (1 - p) is finite: not 1.7e308 at p 0.75
+    with pytest.raises(ValueError, match=re.escape("so must p * j_av / (1 - p); got p 0.75, j_av 1.7e+308")):
         trace_contours(0.75, 1.7e308, (1e200, 1.7e308), 5)
+    # the limit is 1.5e308 at j_av 5e307, and the gain near the k = 0 node still overflows
+    with pytest.raises(ValueError, match="contour gain overflows at p 0.75, j_av 5e[+]307, omega"):
+        trace_contours(0.75, 5e307, (1e200, 1.7e308), 5)
