@@ -12,6 +12,9 @@ Core surfaces:
 - :mod:`floquet_ep.args`, :mod:`floquet_ep.cli` -- the ``floquet-ep`` command line:
   its numpy-free front end (flags, validation, ``main``) and its run layer.
 
+Each physics module ``m`` keeps its run-path code in a private kernel module ``_m`` beside it and
+re-exports it; a command-line run loads only the kernels.
+
 The names in ``__all__`` load their submodule on first access, so ``import floquet_ep``
 alone does not import numpy.
 """

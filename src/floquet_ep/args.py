@@ -276,7 +276,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     from .cli import run  # the run layer: numpy loads here, and each runner loads its own kernel
     from .envelope import write_result
-    from .linalg import NumericsError
+    from ._linalg import NumericsError
 
     try:
         envelope = run(config)

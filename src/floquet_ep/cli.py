@@ -1,7 +1,8 @@
 """Command-line run layer: one runner per command, and :func:`run`.  The numpy-free front end :mod:`floquet_ep.args`
 imports it after parsing; it re-exports that module's :class:`UsageError`, :func:`parse_config` and :func:`main`.  Each
-runner loads its kernel.  ``phase-diagram``, ``bloch-traj`` and ``two-qubit`` stream: each hands :func:`_group` one
-``rows(range of flat row indices) -> tuple of columns``, run once per block while the writer asks for blocks."""
+runner loads its own kernel modules (``floquet_ep._floquet`` and the like), never a library module.  ``phase-diagram``,
+``bloch-traj`` and ``two-qubit`` stream: each hands :func:`_group` one ``rows(range of flat row indices) -> tuple of
+columns``, run once per block while the writer asks for blocks."""
 
 from __future__ import annotations
 
@@ -54,7 +55,7 @@ def _group(n: int, rows, names) -> list[Column]:
 def _run_phase_diagram(cfg: RunConfig) -> list[Column]:
     """Row ``i * n_omega + j``: gain i, frequency j.  The areas are monotone in both: checking the axis extremes
     here fails a bad grid before its file opens, and the rows are computed while they are written."""
-    from .sweep import AxisSpec, GridSpec, Quantity, _cells
+    from ._sweep import AxisSpec, GridSpec, Quantity, _cells
     p = cfg.parameters
     grid = GridSpec(AxisSpec(p["gamma_min"], p["gamma_max"], p["grid"][0], p["gamma_scale"]),
                     AxisSpec(p["omega_min"], p["omega_max"], p["grid"][1], p["omega_scale"]), p["p"], p["j_av"])
@@ -70,9 +71,9 @@ def _run_phase_diagram(cfg: RunConfig) -> list[Column]:
 
 
 def _run_ep_contour(cfg: RunConfig) -> list[Column]:
-    """The flat points of :func:`~floquet_ep.sweep._contour_points`, in the order that
+    """The flat points of :func:`~floquet_ep._sweep._contour_points`, in the order that
     :func:`~floquet_ep.sweep.trace_contours` groups them, and their phase-diagram ratios."""
-    from .sweep import _contour_points
+    from ._sweep import _contour_points
     p = cfg.parameters
     cols = _contour_points(p["p"], p["j_av"], (p["omega_min"], p["omega_max"]), p["samples"])
     pj = p["p"] * p["j_av"]
@@ -86,9 +87,9 @@ def _run_ep_contour(cfg: RunConfig) -> list[Column]:
 
 
 def _run_floquet_ham(cfg: RunConfig) -> list[Column]:
-    """One array pass over the frequencies through :func:`~floquet_ep.floquet._areas`;
+    """One array pass over the frequencies through :func:`~floquet_ep._floquet._areas`;
     each row is the scalar :func:`~floquet_ep.floquet.floquet_hamiltonian` bit for bit."""
-    from .floquet import _areas, _generator
+    from ._floquet import _areas, _generator
     p = cfg.parameters
     omega = np.linspace(p["omega"], p.get("omega_max", p["omega"]), p["omega_count"])
     T, drive_area, gain_area = _areas(p["p"], omega, p["j_av"], p["gamma_av"])
@@ -100,9 +101,9 @@ def _run_floquet_ham(cfg: RunConfig) -> list[Column]:
 
 
 def _run_bloch_traj(cfg: RunConfig) -> list[Column]:
-    """One row group over :class:`~floquet_ep.bloch._Samples`: the rows are computed while they are written."""
-    from .bloch import _Samples, equal_superposition_xyz
-    from .floquet import FloquetParams
+    """One row group over :class:`~floquet_ep._bloch._Samples`: the rows are computed while they are written."""
+    from ._bloch import _Samples, equal_superposition_xyz
+    from ._floquet import FloquetParams
     p = cfg.parameters
     params = FloquetParams.from_dimensionless(p["gamma_ratio"], p["omega_ratio"], p["p"], p["j_av"])
     if p["init"] == "xyz":
@@ -119,7 +120,7 @@ def _run_bloch_traj(cfg: RunConfig) -> list[Column]:
 def _run_two_qubit(cfg: RunConfig) -> list[Column]:
     """One row group: ``jt``, then each rate pair's C, S_u and S_t; row i at ``np.linspace(0, t_max, steps + 1)[i]``.
     Each pair's propagators at t_max are computed here, so a run that overflows later fails before its file opens."""
-    from .two_qubit import _START_FACTORS, TwoQubitParams, _propagators, _timeseries
+    from ._two_qubit import _START_FACTORS, TwoQubitParams, _propagators, _timeseries
     p = cfg.parameters
     phi, t_max, steps = _START_FACTORS[p["init"]](), p["t_max"], p["steps"]
     pairs = [TwoQubitParams(j=p["j"], gamma=g, kx=k) for g in p["gamma"] for k in p["kx"]]

@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import subprocess
 import tempfile
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -103,6 +102,8 @@ def _build_id() -> str:
     here = Path(__file__).resolve().parent
     if not (here.parents[1] / ".git").exists():  # an installed copy: not this package's checkout
         return f"floquet-ep-{__version__}"
+    import subprocess  # a source checkout only: an installed copy never loads it
+
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty", "--tags"],

@@ -7,16 +7,18 @@ matrix exponential or logarithm: its propagators and generators are closed
 forms.
 
 All functions are pure and operate on immutable inputs; callers may share
-results freely between threads.
+results freely between threads.  The constants, :func:`kron` and the shared
+types come from the run-path kernel :mod:`floquet_ep._linalg`.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
+
+from ._linalg import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, NumericsError, PhaseKind, _as_matrix, _const, kron
 
 __all__ = [
     "PAULI_X",
@@ -31,35 +33,7 @@ __all__ = [
 ]
 
 
-def _const(rows) -> np.ndarray:
-    m = np.array(rows, dtype=complex)
-    m.setflags(write=False)
-    return m
-
-
-PAULI_X = _const([[0, 1], [1, 0]])
-PAULI_Y = _const([[0, -1j], [1j, 0]])
-PAULI_Z = _const([[1, 0], [0, -1]])
-IDENTITY_2 = _const([[1, 0], [0, 1]])
-
 _PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
-
-
-class NumericsError(RuntimeError):
-    """A numerical routine failed to reach its accuracy contract."""
-
-
-class PhaseKind(Enum):  # exported by floquet; defined here so that two_qubit need not load floquet
-    PT_SYMMETRIC = "pt-symmetric"
-    PT_BROKEN = "pt-broken"
-    EXCEPTIONAL_POINT = "exceptional-point"
-
-
-def _as_matrix(m, dims=(2, 4)) -> np.ndarray:
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] not in dims:
-        raise ValueError(f"expected a square matrix with dimension in {dims}, got shape {a.shape}")
-    return a
 
 
 def _require_finite(a: np.ndarray) -> None:
@@ -133,20 +107,3 @@ def eig(m) -> list[tuple[complex, np.ndarray]]:
         if resid > 1e-10 * norm:
             raise NumericsError(f"eigenpair residual {resid:.3e} exceeds 1e-10 * |m| = {1e-10 * norm:.3e}")
     return pairs
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two 2x2 matrices (a 4x4 result).
-
-    Built from the index formula ``out[2i+k, 2j+l] = a[i,j] * b[k,l]`` so
-    each entry is exactly one scalar product.
-    """
-    ma = _as_matrix(a, dims=(2,))
-    mb = _as_matrix(b, dims=(2,))
-    out = np.empty((4, 4), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                for l in range(2):
-                    out[2 * i + k, 2 * j + l] = ma[i, j] * mb[k, l]
-    return out

@@ -775,7 +775,11 @@ def test_phase_map_process_peaks_near_a_one_row_run(tmp_path):
     assert min(peak_mb("preset", "fig1b") for _ in range(2)) - min(peak_mb("floquet-ham") for _ in range(2)) < 1.5
 
 
-_KERNEL_MODULES = ("numpy", *(f"floquet_ep.{m}" for m in ("linalg", "floquet", "bloch", "sweep", "two_qubit")))
+_PHYSICS = ("linalg", "floquet", "bloch", "sweep", "two_qubit")
+#: numpy and the run-path kernel module ``_m`` of each physics module ``m``
+_KERNEL_MODULES = ("numpy", *(f"floquet_ep._{m}" for m in _PHYSICS))
+#: the physics modules themselves, the library layer: no command-line run loads one
+_LIBRARY_MODULES = tuple(f"floquet_ep.{m}" for m in _PHYSICS)
 
 #: ``python -m floquet_ep ARGV`` in-process, then the exit status and the loaded
 #: kernel modules go to the file named by the first argument, not to stdout/stderr.
@@ -805,7 +809,7 @@ _USAGE_ERROR_ARGVS = [
 #: modules that only a run needs: the result writer and what it loads, and the config-file reader
 _RUN_ONLY_MODULES = ("floquet_ep.envelope", "dataclasses", "subprocess", "configparser")
 
-#: a short run of each command -> the ``floquet_ep`` kernel modules it loads
+#: a short run of each command -> the physics modules whose kernels it loads
 _RUN_KERNELS = [
     (["phase-diagram", "--grid", "4x4"], ("linalg", "floquet", "sweep")),
     (["ep-contour", "--samples", "50"], ("linalg", "floquet", "sweep")),
@@ -819,10 +823,10 @@ _RUN_KERNELS = [
 class TestNumpyFreeFrontEnd:
     """``--help`` and usage errors end before numpy, any kernel module or the writer loads,
     with the same status and bytes as a process that loaded them all first; a run loads
-    only its own command's kernel modules."""
+    only its own command's kernel modules, and no library module."""
 
     @staticmethod
-    def _entry_point(tmp_path, argv, preload="", modules=_KERNEL_MODULES):
+    def _entry_point(tmp_path, argv, preload="", modules=_KERNEL_MODULES + _LIBRARY_MODULES):
         report = tmp_path / "report.txt"
         code = _ENTRY_POINT.format(preload=preload, kernels=modules)
         proc = subprocess.run([sys.executable, "-c", code, str(report), *argv], capture_output=True)
@@ -841,7 +845,7 @@ class TestNumpyFreeFrontEnd:
         eager = self._entry_point(
             tmp_path, argv, preload="import floquet_ep.cli, floquet_ep.bloch, floquet_ep.sweep, floquet_ep.two_qubit"
         )
-        assert eager == (status, out, err, list(_KERNEL_MODULES))
+        assert eager == (status, out, err, [*_KERNEL_MODULES, *_LIBRARY_MODULES])
 
     @pytest.mark.parametrize("argv", _HELP_ARGVS + _USAGE_ERROR_ARGVS, ids=" ".join)
     def test_loads_no_writer_or_config_reader(self, tmp_path, argv):
@@ -851,7 +855,7 @@ class TestNumpyFreeFrontEnd:
     def test_each_command_loads_only_its_kernels(self, tmp_path, argv, kernels):
         status, _, err, loaded = self._entry_point(tmp_path, [*argv, "--output", str(tmp_path / "out.csv")])
         assert (status, err) == (0, b"")
-        assert loaded == ["numpy", *(m for m in _KERNEL_MODULES[1:] if m.split(".")[1] in kernels)]
+        assert loaded == ["numpy", *(f"floquet_ep._{m}" for m in _PHYSICS if m in kernels)]  # and no library module
 
     def test_cli_reexports_the_front_end(self):
         import floquet_ep.args
@@ -861,7 +865,25 @@ class TestNumpyFreeFrontEnd:
             assert getattr(floquet_ep.cli, name) is getattr(floquet_ep.args, name)
 
 
-#: every module of the package
+#: each class that a kernel module ``_m`` defines and its library module ``m`` re-exports -> ``m``
+_SHARED_CLASSES = {"FloquetParams": "floquet", "TwoQubitParams": "two_qubit", "AxisSpec": "sweep", "GridSpec": "sweep",
+                   "Quantity": "sweep", "PhaseKind": "linalg", "SegmentKind": "bloch", "Qubit": "two_qubit",
+                   "NumericsError": "linalg"}
+#: every name in each library module's ``__all__`` resolves, and each shared class is defined in its kernel
+#: and is that one object in every module of the package that holds it
+_REEXPORTS = """
+import importlib, sys
+for m in {physics!r}:
+    lib = importlib.import_module("floquet_ep." + m)
+    assert [n for n in lib.__all__ if not hasattr(lib, n)] == [], m
+for name, m in {shared!r}.items():
+    cls = getattr(sys.modules["floquet_ep._" + m], name)
+    assert cls.__module__ == "floquet_ep._" + m and getattr(sys.modules["floquet_ep." + m], name) is cls, name
+    homes = [k for k, mod in sys.modules.items() if k.startswith("floquet_ep.") and hasattr(mod, name)]
+    assert all(getattr(sys.modules[k], name) is cls for k in homes), (name, homes)
+print("ok")
+"""
+#: every public module of the package
 _MODULES = ("args", "bloch", "cli", "envelope", "floquet", "linalg", "presets", "sweep", "two_qubit")
 
 
@@ -948,6 +970,12 @@ class TestModuleEntryPoint:
         proc = _fresh_python("-c", code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "18"
+
+    def test_library_modules_reexport_their_kernels(self):
+        # in a fresh interpreter, so that each name comes through the library module's own imports
+        proc = _fresh_python("-c", _REEXPORTS.format(physics=_PHYSICS, shared=_SHARED_CLASSES))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "ok"
 
     def test_dir_lists_every_public_name(self):
         import floquet_ep
@@ -1075,3 +1103,17 @@ def test_build_line_names_no_enclosing_repository(tmp_path):
     proc = _fresh_python("-m", "floquet_ep", "floquet-ham", "--output", str(out), PYTHONPATH=str(site))
     assert proc.returncode == 0, proc.stderr
     assert "# build: floquet-ep-0.1.0\n" in out.read_text()
+
+
+def test_installed_copy_run_loads_no_subprocess(tmp_path):
+    """Only a source checkout asks git for the build line, so a run of an installed copy never imports ``subprocess``."""
+    import shutil
+
+    import floquet_ep
+
+    site = tmp_path / "site-packages"
+    shutil.copytree(Path(floquet_ep.__file__).parent, site / "floquet_ep", ignore=shutil.ignore_patterns("__pycache__"))
+    code = "import sys; from floquet_ep.args import main; main(sys.argv[1:]); print('subprocess' in sys.modules)"
+    proc = _fresh_python("-c", code, "floquet-ham", "--output", str(tmp_path / "out.csv"), PYTHONPATH=str(site))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"

@@ -401,7 +401,8 @@ def test_pair_write_peak_does_not_grow_with_steps(fmt, tmp_path):
 def test_each_block_costs_one_kernel_pass(fmt, tmp_path, monkeypatch):
     """No source is asked for a block twice, in either format: fig2b's 25,601 rows call the recurrence
     once per block (26 times; JSON called it 130 times when its columns were walked one by one), and the
-    headline sweep's 4,001 rows call ``_evolve`` once per block and rate pair (4 x 6 = 24 times)."""
+    headline sweep's 4,001 rows call ``_evolve`` once per block and rate pair (4 x 6 = 24 times).  The counter
+    replaces ``_evolve`` in the kernel module, where the run's ``_timeseries`` looks it up."""
     calls = {"states": 0, "evolve": 0}
 
     def counting(key, fn):
@@ -411,7 +412,7 @@ def test_each_block_costs_one_kernel_pass(fmt, tmp_path, monkeypatch):
         return counted
 
     monkeypatch.setattr(_Samples, "states", counting("states", _Samples.states))
-    monkeypatch.setattr("floquet_ep.two_qubit._evolve", counting("evolve", _evolve))
+    monkeypatch.setattr("floquet_ep._two_qubit._evolve", counting("evolve", _evolve))
     write_result(run(dataclasses.replace(figure_preset("fig2b"), format=fmt, output_path=str(tmp_path / "fig2b"))))
     head = ["two-qubit", "--j", "0.5", "--kx", "1", *(a for g in ("0.5", "0.95", "1", "1.05", "2", "5") for a in ("--gamma", g)),
             "--t-max", "200", "--steps", "4000", "--format", fmt, "--output", str(tmp_path / "pair")]
