@@ -45,16 +45,17 @@ class _Rows:
 
 
 def _group(n: int, rows, names) -> list[Column]:
-    """Columns ``(name, unit)`` of ``n`` rows over one ``rows(range of rows) -> tuple of columns``, sharing the last
-    block's tuple: a block costs one ``rows`` pass.  The first block is computed here, before the file opens."""
+    """Columns ``(name, unit[, repeats])`` of ``n`` rows over one ``rows(range of rows) -> tuple of columns``,
+    sharing the last block's tuple: a block costs one ``rows`` pass.  The first block is computed here, before the
+    file opens."""
     rows = lru_cache(maxsize=1)(rows)  # a range is its own key
     rows(range(min(n, _BLOCK_ROWS)))
-    return [Column(name, unit, _Rows(n, rows, k)) for k, (name, unit) in enumerate(names)]
+    return [Column(name, unit, _Rows(n, rows, k), *repeats) for k, (name, unit, *repeats) in enumerate(names)]
 
 
 def _run_phase_diagram(cfg: RunConfig) -> list[Column]:
-    """Row ``i * n_omega + j``: gain i, frequency j.  The areas are monotone in both: checking the axis extremes
-    here fails a bad grid before its file opens, and the rows are computed while they are written."""
+    """Row ``i * n_omega + j``: gain i, frequency j.  The areas are monotone in both: checking the axis extremes here
+    fails a bad grid before its file opens.  The rows are computed while they are written; the axes repeat."""
     from ._sweep import AxisSpec, GridSpec, Quantity, _cells
     p = cfg.parameters
     grid = GridSpec(AxisSpec(p["gamma_min"], p["gamma_max"], p["grid"][0], p["gamma_scale"]),
@@ -66,8 +67,8 @@ def _run_phase_diagram(cfg: RunConfig) -> list[Column]:
         i, n = np.arange(r.start, r.stop, r.step), len(o)
         return g[i // n], o[i % n], _cells(grid, quantity, g[i // n], o[i % n])
 
-    return _group(len(g) * len(o), rows, [("gamma_ratio", "dimensionless"), ("omega_ratio", "dimensionless"),
-                                          (p["quantity"].replace("-", "_"), "dimensionless")])
+    axes = [("gamma_ratio", "dimensionless", True), ("omega_ratio", "dimensionless", True)]
+    return _group(len(g) * len(o), rows, axes + [(p["quantity"].replace("-", "_"), "dimensionless")])
 
 
 def _run_ep_contour(cfg: RunConfig) -> list[Column]:

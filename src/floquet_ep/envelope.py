@@ -1,17 +1,16 @@
 """Result serialization: self-describing CSV/JSON tables.
 
-Every run produces a :class:`ResultEnvelope` carrying the echoed
-configuration, unit-annotated columns and build provenance.  CSV output is
-locale-independent (``.`` decimal point, ``,`` separator, ``\\n`` newlines)
-with floats at 17 significant digits so parsing returns bit-identical
-doubles; the metadata travels in ``#``-prefixed comment lines above the
-header.  A column is a list, a 1-D array or a row source (slices computed on
-request), turned into text a block of rows at a time: a float64 block through
-its column's one table of formatted bit patterns (restarted when full), any
-other block value by value.  Both formats ask every column for each block once,
-in row order: CSV writes the block's rows, JSON spools the block's column texts
-to a temporary file and copies them out column by column.  ``SOURCE_DATE_EPOCH``
-pins the timestamp.
+Every run produces a :class:`ResultEnvelope` carrying the echoed configuration, unit-annotated columns and build
+provenance.  CSV output is locale-independent (``.`` decimal point, ``,`` separator, ``\\n`` newlines) with floats at
+17 significant digits so parsing returns bit-identical doubles; the metadata travels in ``#``-prefixed comment lines
+above the header.  A column is a list, a 1-D array or a row source (slices computed on request), written a block of
+rows at a time.  A float64 block stays raw when its values are all distinct, finite and new to its column's table and
+the column is not declared to repeat (a phase map's axes); CSV writes a block with raw columns by one ``%`` over a row
+template, JSON each raw column block by one ``%r`` template.  Any other float64 block goes through its column's table
+of formatted bit patterns, which keeps only what recurs unless the column repeats.  So each float is formatted as a
+table's miss or in a template's fill.  A CSV block of ``str`` is its own text; any other value is encoded on its own.
+Both formats ask every column for each block once, in row order: CSV writes the block's rows, JSON spools the block's
+column texts to a temporary file and copies them out column by column.  ``SOURCE_DATE_EPOCH`` pins the timestamp.
 """
 
 from __future__ import annotations
@@ -22,23 +21,15 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import chain, groupby
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Sequence
 
 from . import __version__
 
-__all__ = [
-    "SCHEMA_VERSION",
-    "Column",
-    "RunConfig",
-    "ResultEnvelope",
-    "make_envelope",
-    "render_csv",
-    "render_json",
-    "write_result",
-    "parse_csv",
-]
+__all__ = ["SCHEMA_VERSION", "Column", "RunConfig", "ResultEnvelope", "make_envelope", "render_csv", "render_json",
+           "write_result", "parse_csv"]
 
 SCHEMA_VERSION = 1
 
@@ -48,12 +39,15 @@ FORMATS = ("csv", "json")
 @dataclass
 class Column:
     """A result column: ``values`` is a list, a 1-D array or a row source (``len``, int and slice indexing and
-    iteration; slices are 1-D arrays), encoded a block at a time: float64 through a table, the rest value by value.
-    The writers ask each block once, in row order, so the row sources of one group may share a block's pass."""
+    iteration; slices are 1-D arrays), encoded a block at a time: float64 raw when all distinct and new, else through
+    a table; the rest value by value.  ``repeats`` (a runner sets it through ``cli._group``) declares that the values
+    recur across blocks: the column's table keeps every value, so each is formatted once, and no block goes raw.  The
+    writers ask each block once, in row order, so the row sources of one group may share a block's pass."""
 
     name: str
     unit: str
     values: Sequence
+    repeats: bool = False
 
     def header(self) -> str:
         return f"{self.name} [{self.unit}]" if self.unit else self.name
@@ -77,12 +71,7 @@ class RunConfig:
 
     def echo(self) -> dict:
         """The part of the configuration that determines the result."""
-        return {
-            "command": self.command,
-            "parameters": self.parameters,
-            "format": self.format,
-            "seed": self.seed,
-        }
+        return {key: getattr(self, key) for key in ("command", "parameters", "format", "seed")}
 
 
 @dataclass
@@ -157,47 +146,61 @@ def _json_value(value) -> str:
 _TABLE_SIZE = 2048
 #: Float-only encoders, each equal to its format's value encoder on a finite float.
 _CSV_FLOAT, _JSON_FLOAT = "%.17g".__mod__, float.__repr__
+#: The one ``%`` that fills a template of raw floats: every float that skips the tables is formatted here.
+_FILL = str.__mod__
 
 
-def _float_texts(block, table, enc, fast) -> tuple[list[str], tuple]:
-    """Encode a 1-D float64 block through its column's ``table``: None or sorted bit patterns (``0.0`` and
-    ``-0.0`` differ, a nan matches itself) and their texts.  The patterns the table lacks are formatted once
-    (by ``fast`` if all finite, else ``enc``) and join it; a table that would reach :data:`_TABLE_SIZE`
-    restarts from them."""
+def _float_texts(block, tables, c, enc, fast, repeats):
+    """A 1-D float64 block as itself (raw) if its column does not declare ``repeats`` and its values are all distinct,
+    finite and new to the column's table ``tables[c]``: None or sorted bit patterns (``0.0`` and ``-0.0`` differ, a
+    nan matches itself) and their texts.  Else as texts: the patterns the table lacks are formatted once (by ``fast``
+    if all finite, else ``enc``).  A ``repeats`` column's table keeps them all; any other keeps only what recurs, the
+    patterns it served in this block and the block's repeats.  A table that would reach :data:`_TABLE_SIZE` restarts."""
     import numpy as np  # an array block: the run layer has loaded numpy already
 
-    bits, rows, out = block.view(np.uint64), slice(None), np.empty(len(block), dtype=object)  # rows the table lacks
+    bits, rows, out, table = block.view(np.uint64), slice(None), np.empty(len(block), dtype=object), tables[c]
     if table is not None:
         at = table[0].searchsorted(bits)
         hit = table[0].take(at, mode="clip") == bits
         out = table[1].take(at, mode="clip")
         if hit.all():
-            return out.tolist(), table
-        rows = np.flatnonzero(~hit)
+            return out.tolist()
+        rows = np.flatnonzero(~hit)  # the rows the table lacks
     s = np.sort(bits[rows])
-    keys = s[np.concatenate(([True], s[1:] != s[:-1]))]
+    new = np.concatenate(([True], s[1:] != s[:-1]))
+    if not repeats and len(s) == len(bits) and new.all() and np.isfinite(block).all():
+        return block
+    keys = s[new]
     values, texts = keys.view(np.float64), np.empty(len(keys), dtype=object)
     texts[:] = list(map(fast if np.isfinite(values).all() else enc, values.tolist()))
     out[rows] = texts[keys.searchsorted(bits[rows])]
+    if not repeats:
+        keep = ~np.concatenate((new[1:], [True]))[new]  # a run of two or more equal patterns
+        keys, texts = keys[keep], texts[keep]
+        if table is not None:
+            served = np.zeros(len(table[0]), dtype=bool)
+            served[at[hit]] = True
+            table = table[0][served], table[1][served]
     if table is not None and len(table[0]) + len(keys) < _TABLE_SIZE:
         order = np.concatenate((table[0], keys)).argsort(kind="stable")  # two sorted runs: one merge pass
         keys, texts = np.concatenate((table[0], keys))[order], np.concatenate((table[1], texts))[order]
-    return out.tolist(), (keys, texts)
+    tables[c] = (keys, texts) if len(keys) else None
+    return out.tolist()
 
 
-def _blocks(columns: list[Column], enc, fast):
-    """Each column's texts for each block of :data:`_BLOCK_ROWS` rows, one at a time: a block of every column, then
-    the next block, so each source is asked for each block once.  A 1-D float64 block, of an array or a row source,
-    goes through its column's :func:`_float_texts` table; any other block value by value."""
+def _blocks(columns: list[Column], enc, fast, csv: bool):
+    """Each column's block of :data:`_BLOCK_ROWS` rows, one at a time: a block of every column, then the next block,
+    so each source is asked for each block once.  A 1-D float64 block goes through :func:`_float_texts` (texts or raw
+    floats); a CSV block of ``str`` is its own text; any other block is encoded value by value."""
     tables = [None] * len(columns)
     for i in range(0, len(columns[0].values) if columns else 0, _BLOCK_ROWS):
         for c, col in enumerate(columns):
             block = col.values[i : i + _BLOCK_ROWS]
             if hasattr(block, "dtype") and block.ndim == 1 and block.dtype == "float64":
-                texts, tables[c] = _float_texts(block, tables[c], enc, fast)
-                yield texts
+                yield _float_texts(block, tables, c, enc, fast, col.repeats)  # bound to no name, so the writer frees it
             else:
-                yield list(map(enc, block.tolist() if hasattr(block, "dtype") else block))
+                block = block.tolist() if hasattr(block, "dtype") else block
+                yield block if csv and set(map(type, block)) == {str} else list(map(enc, block))
 
 
 def _csv_chunks(envelope: ResultEnvelope):
@@ -206,8 +209,23 @@ def _csv_chunks(envelope: ResultEnvelope):
            f"# parameters: {json.dumps(cfg.parameters, sort_keys=True)}\n# seed: {cfg.seed}\n"
            f"# build: {prov.get('build', '')}\n# timestamp: {prov.get('timestamp', '')}\n"
            + ",".join(c.header() for c in envelope.columns) + "\n")
-    for cols in zip(*[_blocks(envelope.columns, _csv_value, _CSV_FLOAT)] * len(envelope.columns)):  # a block's columns
-        yield "\n".join(map(",".join, zip(*cols))) + "\n"
+    blocks, n = _blocks(envelope.columns, _csv_value, _CSV_FLOAT, True), len(envelope.columns)
+    for _ in range(0, len(envelope.columns[0].values) if n else 0, _BLOCK_ROWS):
+        yield _csv_rows([next(blocks) for _ in range(n)])  # a block's columns, held by _csv_rows alone
+
+
+def _csv_rows(cols: list) -> str:
+    """A block's rows from its columns: texts or raw floats (arrays).  Texts alone are joined.  Else each run of text
+    columns is joined row by row, then ``cols`` is emptied so that the texts go before one ``%`` fills a row template:
+    a ``%.17g`` slot per raw column and a ``%s`` per run."""
+    if not any(hasattr(c, "dtype") for c in cols):
+        return "\n".join(map(",".join, zip(*cols))) + "\n"
+    slots, parts, n = [], [], len(cols[0])
+    for raw, run in groupby(cols, lambda c: hasattr(c, "dtype")):
+        slots += ["%.17g"] * len(run := list(run)) if raw else ["%s"]
+        parts += [c.tolist() for c in run] if raw else [list(map(",".join, zip(*run)))]
+    del run, cols[:]
+    return _FILL((",".join(slots) + "\n") * n, tuple(chain.from_iterable(zip(*parts))))
 
 
 def _json_chunks(envelope: ResultEnvelope):
@@ -225,9 +243,10 @@ def _json_chunks(envelope: ResultEnvelope):
     with tempfile.TemporaryFile() as spool:
         yield head + '\n  "columns": ' + pieces[0]  # data-independent: the spool exists before the file opens
         cols, ends = envelope.columns, array("q", [0])  # block k of column c spans ends[k * len(cols) + c : ... + 2]
-        for at, items in enumerate(_blocks(cols, _json_value, _JSON_FLOAT)):
-            text = ("," if at >= len(cols) else '"values": [') + "\n        " + ",\n        ".join(items)
-            ends.append(ends[-1] + spool.write(text.encode()))
+        for at, items in enumerate(_blocks(cols, _json_value, _JSON_FLOAT, False)):
+            text = (",\n        " + ",\n        ".join(items) if not hasattr(items, "dtype")  # else raw: repr is JSON's
+                    else _FILL(",\n        %r" * len(items), tuple(items.tolist())))
+            ends.append(ends[-1] + spool.write((text if at >= len(cols) else '"values": [' + text[1:]).encode()))
         for c, (col, piece) in enumerate(zip(cols, pieces[1:])):
             for at in range(c, len(ends) - 1, len(cols)):
                 spool.seek(ends[at])

@@ -22,6 +22,8 @@ from floquet_ep.two_qubit import _START_FACTORS, TwoQubitParams, _evolve, _times
 from floquet_ep.envelope import (
     _BLOCK_ROWS,
     _CSV_FLOAT,
+    _FILL,
+    _blocks,
     _csv_value,
     Column,
     RunConfig,
@@ -267,6 +269,60 @@ def test_array_column_encodes_as_its_list(arr, with_text):
         assert render(envelope(arr)) == render(envelope(arr.tolist()))
 
 
+def _path_arrays():
+    """Two blocks and a tail (2,053 rows) of a float64 column for each path of the writer, with the path
+    each block must take: raw floats (True) or texts through the column's table (False)."""
+    n, rng = 2 * _BLOCK_ROWS + 5, np.random.default_rng(31)
+    distinct = np.cumsum(rng.uniform(0.5, 1.5, n)) * 1e-3 - 1.0
+    signed = distinct.copy()
+    signed[[3, 700, 1030, 2050]] = [0.0, -0.0, 5e-324, -5e-324]  # distinct bit patterns, all finite
+    nonfinite = distinct.copy()
+    nonfinite[[10, _BLOCK_ROWS + 10]] = [np.inf, np.nan]
+    partly = distinct.copy()
+    partly[:20] = partly[20:40]  # 20 patterns repeat in the first block and join its table ...
+    partly[_BLOCK_ROWS : _BLOCK_ROWS + 5] = partly[20:25]  # ... so the second block is partly in it
+    few = distinct.copy()
+    few[[100, 900, _BLOCK_ROWS + 100, _BLOCK_ROWS + 900]] = 0.0  # 1,022 distinct of 1,024, as fig1b's zeros
+    return {
+        "all_distinct": (distinct, [True, True, True]),
+        "signed_zeros_and_subnormals": (signed, [True, True, True]),
+        "one_nonfinite": (nonfinite, [False, False, True]),
+        "partly_in_the_table": (partly, [False, False, True]),
+        "converged_orbit": (np.tile(distinct[:128], -(-n // 128))[:n], [False, False, False]),
+        "few_exact_repeats": (few, [False, False, True]),
+    }
+
+
+_PATHS = _path_arrays()
+
+
+@pytest.mark.parametrize("repeats", [False, True])
+@pytest.mark.parametrize("name", sorted(_PATHS))
+def test_each_writer_path_encodes_as_the_row_wise_oracle(name, repeats):
+    """Each float64 block takes the path its values call for, raw or through the table (always the table
+    when the column declares that it repeats), and CSV and JSON write the oracle's bytes: beside a raw
+    column, a text column of tags (a tuple) and one of distinct floats that the template formats with it."""
+    arr, raw = _PATHS[name]
+    n = len(arr)
+    cols = [Column("v", "", arr, repeats), Column("t", "", np.arange(n) / 3.0 + 7.0),
+            Column("segment", "tag", tuple(("unitary", "thermal")[i % 3 == 0] for i in range(n)))]
+    kinds = [hasattr(b, "dtype") for b in _blocks(cols, _csv_value, _CSV_FLOAT, True)]
+    assert kinds[0::3] == [r and not repeats for r in raw] and kinds[1::3] == [True] * 3
+    assert kinds[2::3] == [False] * 3
+    _assert_as_oracle(_env(cols))
+    _assert_as_oracle(_env(cols[1:] + cols[:1]))  # the tags and a text block of "v" make one run of text columns
+    _assert_as_oracle(_env(cols[:1]))
+
+
+def test_csv_tag_block_is_its_own_text(tmp_path, monkeypatch):
+    """A CSV block of strings (the Bloch ``segment`` tag) is written as it is: no value of a Bloch run goes
+    through the per-value encoder, which took every tag before (38,401 in a 300-period run)."""
+    calls = []
+    monkeypatch.setattr("floquet_ep.envelope._csv_value", lambda value: calls.append(value) or _csv_value(value))
+    write_result(run(parse_config(["bloch-traj", "--periods", "20", "--output", str(tmp_path / "b.csv")])))
+    assert calls == []
+
+
 def test_array_column_of_unequal_length_is_rejected():
     with pytest.raises(ValueError, match="equal lengths"):
         ResultEnvelope(RunConfig("two-qubit", {}, "out.csv"), [Column("a", "", np.zeros(3)), Column("b", "", [0.0] * 2)])
@@ -397,6 +453,22 @@ def test_pair_write_peak_does_not_grow_with_steps(fmt, tmp_path):
     assert abs(peaks[1] - peaks[0]) < 0.1e6
 
 
+def test_distinct_pair_write_peak_memory(tmp_path):
+    """A pair of three rates at 10,001 rows has ten columns whose every block is distinct and new: each block
+    goes to the file as raw floats through one template, without a text per value.  The traced peak of the
+    run and its write stays below 1.15 MB: 0.89 MB here, 1.42 MB when every raw block was formatted value by
+    value first (through the tables or after them), 2.4 MB before blocks went raw."""
+    argv = ["two-qubit", "--gamma", "0.5", "--gamma", "0.75", "--gamma", "1", "--steps", "10000",
+            "--output", str(tmp_path / "pair.csv")]
+    tracemalloc.start()
+    try:
+        write_result(run(parse_config(argv)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.15e6
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_each_block_costs_one_kernel_pass(fmt, tmp_path, monkeypatch):
     """No source is asked for a block twice, in either format: fig2b's 25,601 rows call the recurrence
@@ -485,36 +557,51 @@ def test_streamed_phase_map_equals_the_materialized_grid(n_gamma, n_omega, gamma
     assert env.columns[2].values[n_gamma * n_omega - 1] == hm.values[-1, -1]
 
 
-def test_wide_phase_map_formats_each_frequency_once(tmp_path, monkeypatch):
-    """In a 4x1500 phase map every gain row spans two blocks, yet each of the 4 gains,
-    1500 frequencies and at most 3 phase codes is formatted once."""
+def _count_float_texts(monkeypatch) -> list:
+    """Collect every float the CSV writer formats: through the value encoder, a table's float encoder, or
+    the one ``%`` fill of a raw block's template."""
     calls = []
 
     def counting(enc):
-        return lambda value: calls.append(value) or enc(value)
+        return lambda value: (isinstance(value, float) and calls.append(value)) or enc(value)
+
+    def filling(template, values):
+        calls.extend(v for v in values if isinstance(v, float))
+        return _FILL(template, values)
 
     monkeypatch.setattr("floquet_ep.envelope._csv_value", counting(_csv_value))
     monkeypatch.setattr("floquet_ep.envelope._CSV_FLOAT", counting(_CSV_FLOAT))
+    monkeypatch.setattr("floquet_ep.envelope._FILL", filling)
+    return calls
+
+
+def _distinct_floats(env) -> int:
+    """The float bit patterns of each column, summed: the fewest conversions that can write ``env``, so a
+    count below it missed a conversion."""
+    blocks = [c.values[:] for c in env.columns]
+    return sum(len(np.unique(b.view(np.uint64))) for b in blocks if b.dtype == np.float64)
+
+
+def test_wide_phase_map_formats_each_frequency_once(tmp_path, monkeypatch):
+    """In a 4x1500 phase map every gain row spans two blocks, yet each of the 4 gains,
+    1500 frequencies and at most 3 phase codes is formatted once."""
+    calls = _count_float_texts(monkeypatch)
     cfg = parse_config(["phase-diagram", "--grid", "4x1500", "--quantity", "phase",
                         "--output", str(tmp_path / "phase.csv")])
-    write_result(run(cfg))
-    assert len(calls) <= 4 + 1500 + 3
+    env = run(cfg)
+    write_result(env)
+    assert _distinct_floats(env) <= len(calls) <= 4 + 1500 + 3
 
 
 def test_phase_map_formats_each_distinct_value_once(tmp_path, monkeypatch):
     """A 300x300 phase map has 300 gains, 300 frequencies and 2 phase codes:
     602 float-to-text conversions, where a per-block memo made 26,936."""
-    calls = []
-
-    def counting(enc):
-        return lambda value: calls.append(value) or enc(value)
-
-    monkeypatch.setattr("floquet_ep.envelope._csv_value", counting(_csv_value))
-    monkeypatch.setattr("floquet_ep.envelope._CSV_FLOAT", counting(_CSV_FLOAT))
+    calls = _count_float_texts(monkeypatch)
     cfg = parse_config(["phase-diagram", "--grid", "300x300", "--quantity", "phase",
                         "--output", str(tmp_path / "phase.csv")])
-    write_result(run(cfg))
-    assert len(calls) <= 602
+    env = run(cfg)
+    write_result(env)
+    assert _distinct_floats(env) <= len(calls) <= 602
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -544,15 +631,13 @@ def test_row_source_indexing():
 
 
 def test_trajectory_conversion_count(tmp_path, monkeypatch):
-    """fig2b's six float columns of 25,601 rows make at most 53,500 float-to-text conversions: a table
-    that restarts when full makes 53,067, one that keeps its patterns and stops growing about 66,000."""
-    calls = []
-
-    def counting(enc):
-        return lambda value: (isinstance(value, float) and calls.append(value)) or enc(value)
-
-    monkeypatch.setattr("floquet_ep.envelope._csv_value", counting(_csv_value))
-    monkeypatch.setattr("floquet_ep.envelope._CSV_FLOAT", counting(_CSV_FLOAT))
+    """fig2b's six float columns of 25,601 rows make at most 53,500 float-to-text conversions, in the
+    tables and in the raw blocks' templates: 53,336 when only a block all distinct and new goes raw and a
+    table keeps what recurs; 56,337 when a block more than half distinct went raw; 53,067 before blocks went
+    raw, when every table kept all it formatted and restarted when full; about 66,000 when it stopped
+    growing instead."""
+    calls = _count_float_texts(monkeypatch)
     cfg = dataclasses.replace(figure_preset("fig2b"), output_path=str(tmp_path / "fig2b.csv"))
-    write_result(run(cfg))
-    assert len(calls) <= 53_500
+    env = run(cfg)
+    write_result(env)
+    assert _distinct_floats(env) <= len(calls) <= 53_500
